@@ -11,20 +11,20 @@ price is exactly p0 * (1 - I(Q)).  The drift is scaled by p0 so the
 recursion is dimensionally consistent for any price level.
 
 Trials draw from splittable counter-based streams (Philox keyed on the
-master seed, jumped per trial), so results are bit-identical regardless
-of execution order or parallelism.
+master seed, one counter block per trial), so results are bit-identical
+regardless of execution order or parallelism.  A transition curve draws
+each trial's noise once, at its longest horizon, and every grid point
+uses the prefix its own horizon needs.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.special import erf
 
 from .impact import ImpactParams, expected_impact
 from .valuation import Position
@@ -111,6 +111,7 @@ class TransitionPoint:
     p_bankrupt_noimpact: float
     feasible: bool = True
     n_days: int = 0
+    negative_price_trials: int = 0
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,13 @@ class FittedTransition:
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, order-insensitive stream for one trial."""
-    return np.random.Generator(np.random.Philox(key=master_seed).jumped(trial_index))
+    """Independent, order-insensitive stream for one trial.
+
+    Philox keyed on the master seed with the trial index in counter word 2:
+    the stream ``Philox(key=master_seed).jumped(trial_index)`` yields.
+    """
+    counter = np.array([0, 0, trial_index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
 
 
 def _n_days(schedule: LiquidationSchedule) -> int:
@@ -169,41 +175,121 @@ def simulate_price_path(config: MonteCarloConfig, trial_index: int) -> PricePath
     )
 
 
-def _is_bankrupt(config: MonteCarloConfig, daily_prices: np.ndarray, q_rem: np.ndarray) -> bool:
-    dq, L = config.schedule.delta_q, config.position.L
-    if config.bankruptcy_mode is BankruptcyMode.AT_END:
-        return float(dq * daily_prices.sum()) < L
-    running = dq * np.cumsum(daily_prices) + q_rem * daily_prices
-    return bool((running < L).any())
+@dataclass(frozen=True)
+class _Liquidation:
+    """One liquidation as the kernel tests it: noise-free prices, schedule and debt."""
+
+    det: np.ndarray  # noise-free daily prices for t = 1..T
+    q_rem: np.ndarray  # shares still held after each day
+    delta_q: float
+    L: float
 
 
-def _bankrupt_mask(config: MonteCarloConfig, daily: np.ndarray, q_rem: np.ndarray) -> np.ndarray:
-    """Vectorized bankruptcy test over a (trials, days) price matrix."""
-    dq, L = config.schedule.delta_q, config.position.L
-    if config.bankruptcy_mode is BankruptcyMode.AT_END:
-        return dq * daily.sum(axis=1) < L
-    running = dq * np.cumsum(daily, axis=1) + q_rem * daily
-    return (running < L).any(axis=1)
+def _liquidation(config: MonteCarloConfig, n_days: int) -> _Liquidation:
+    dq = config.schedule.delta_q
+    q_rem = np.maximum(config.position.Q - np.arange(1, n_days + 1) * dq, 0.0)
+    return _Liquidation(_deterministic_prices(config, n_days), q_rem, dq, config.position.L)
+
+
+@dataclass
+class _Tally:
+    """Counts over all trials for one liquidation."""
+
+    bankrupt: int = 0
+    bankrupt_noimpact: int = 0
+    negative_trials: int = 0
+    negative_steps: int = 0
+
+
+def _bankrupt_mask(mode: BankruptcyMode, liq: _Liquidation, daily: np.ndarray) -> np.ndarray:
+    """Bankruptcy test over a (trials, days) price matrix.
+
+    AT_END compares total proceeds with the debt; ANYWHERE_ON_PATH also
+    probes each day's proceeds-so-far plus the remaining position at that
+    day's price.
+    """
+    if mode is BankruptcyMode.AT_END:
+        return liq.delta_q * daily.sum(axis=1) < liq.L
+    running = np.cumsum(daily, axis=1)
+    running *= liq.delta_q
+    running += liq.q_rem * daily
+    return (running < liq.L).any(axis=1)
 
 
 # Trials per vectorized batch; bounds the noise matrix to a few megabytes.
 _BATCH = 512
 
 
-def _noise_batches(master_seed: int, n_trials: int, n_days: int):
-    """Per-trial standard-normal draws, yielded in (trials, days) batches.
+def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float):
+    """Random-walk offsets step * cumsum(n) per trial, in (trials, horizon) batches.
 
-    Row i of a batch starting at trial s is exactly the stream
-    trial_rng(master_seed, s + i) would produce, so batching does not
-    change any result.
+    Row i of the batch starting at trial s is drawn from the stream
+    trial_rng(master_seed, s + i).  One Philox is moved to each trial by
+    assigning its counter, which gives the same draws without building a
+    stream per trial.
     """
-    base = np.random.Philox(key=master_seed)
+    bitgen = np.random.Philox(key=master_seed)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter zero, empty output buffer
+    counter = state["state"]["counter"]
     for start in range(0, n_trials, _BATCH):
         count = min(_BATCH, n_trials - start)
-        noise = np.empty((count, n_days), dtype=np.float64)
+        noise = np.empty((count, horizon), dtype=np.float64)
         for i in range(count):
-            np.random.Generator(base.jumped(start + i)).standard_normal(n_days, out=noise[i])
+            counter[2] = start + i
+            bitgen.state = state
+            gen.standard_normal(horizon, out=noise[i])
+        np.cumsum(noise, axis=1, out=noise)
+        noise *= step
         yield noise
+
+
+def _simulate(
+    liquidations: "list[_Liquidation]",
+    mode: BankruptcyMode,
+    p0: float,
+    noise_scale: float,
+    n_trials: int,
+    master_seed: int,
+    *,
+    noimpact: bool = False,
+) -> list[_Tally]:
+    """Bankruptcy and negative-price counts for each liquidation, on shared noise.
+
+    Each trial's normals are drawn once, at the longest horizon, and every
+    liquidation uses the prefix its own horizon needs; a prefix of a stream
+    equals a shorter draw from it, so each count is what drawing per point
+    would give.  With noimpact, each trial is also tested with the impact
+    drift switched off (prices p0 plus the same noise).
+    """
+    horizon = max(len(liq.det) for liq in liquidations)
+    if noise_scale > 0.0:
+        walks = _cumulative_noise(master_seed, n_trials, horizon, p0 * noise_scale)
+        batches = ((1, walk) for walk in walks)
+    else:
+        # The noise-free path: one row that stands for every trial.
+        batches = [(n_trials, np.zeros((1, horizon)))]
+    tallies = [_Tally() for _ in liquidations]
+    for weight, walk in batches:
+        for liq, tally in zip(liquidations, tallies):
+            offset = walk[:, : len(liq.det)]
+            daily = liq.det + offset
+            tally.bankrupt += weight * int(_bankrupt_mask(mode, liq, daily).sum())
+            negative = (daily < 0).sum(axis=1)
+            tally.negative_trials += weight * int((negative > 0).sum())
+            tally.negative_steps += weight * int(negative.sum())
+            if noimpact:
+                tally.bankrupt_noimpact += weight * int(_bankrupt_mask(mode, liq, p0 + offset).sum())
+    return tallies
+
+
+def _warn_negative(tally: _Tally, total_steps: int, where: str = "") -> None:
+    if tally.negative_steps > 0.001 * total_steps:
+        warnings.warn(
+            f"{where}{tally.negative_steps}/{total_steps} simulated prices were negative; "
+            "the Gaussian noise model is being stretched",
+            stacklevel=3,
+        )
 
 
 def bankruptcy_probability(config: MonteCarloConfig) -> MonteCarloResult:
@@ -214,43 +300,21 @@ def bankruptcy_probability(config: MonteCarloConfig) -> MonteCarloResult:
     position at that day's price.
     """
     n_days = _n_days(config.schedule)
-    p0 = config.position.p0
-    det = _deterministic_prices(config, n_days)
-    scale = _noise_scale(config)
-    q_rem = config.position.Q - np.arange(1, n_days + 1) * config.schedule.delta_q
-    q_rem = np.maximum(q_rem, 0.0)
-
-    bankrupt = 0
-    negative_trials = 0
-    negative_steps = 0
-    if scale > 0.0:
-        for noise in _noise_batches(config.master_seed, config.n_trials, n_days):
-            daily = det + p0 * scale * np.cumsum(noise, axis=1)
-            bankrupt += int(_bankrupt_mask(config, daily, q_rem).sum())
-            neg_per_trial = (daily < 0).sum(axis=1)
-            negative_trials += int((neg_per_trial > 0).sum())
-            negative_steps += int(neg_per_trial.sum())
-    else:
-        if _is_bankrupt(config, det, q_rem):
-            bankrupt = config.n_trials
-        neg = int((det < 0).sum())
-        if neg:
-            negative_trials = config.n_trials
-            negative_steps = neg * config.n_trials
-
-    total_steps = config.n_trials * n_days
-    if negative_steps > 0.001 * total_steps:
-        warnings.warn(
-            f"{negative_steps}/{total_steps} simulated prices were negative; "
-            "the Gaussian noise model is being stretched",
-            stacklevel=2,
-        )
-    p = bankrupt / config.n_trials
+    (tally,) = _simulate(
+        [_liquidation(config, n_days)],
+        config.bankruptcy_mode,
+        config.position.p0,
+        _noise_scale(config),
+        config.n_trials,
+        config.master_seed,
+    )
+    _warn_negative(tally, config.n_trials * n_days)
+    p = tally.bankrupt / config.n_trials
     return MonteCarloResult(
         p_bankrupt=p,
         std_error=math.sqrt(p * (1.0 - p) / config.n_trials),
         n_trials=config.n_trials,
-        negative_price_trials=negative_trials,
+        negative_price_trials=tally.negative_trials,
     )
 
 
@@ -275,13 +339,15 @@ def transition_curve(
     from eta = Q / (V * T), rounded to a whole number of days (points whose
     horizon rounds below one day are marked infeasible).  Each point also
     carries the companion probability with the impact drift switched off,
-    computed on the same noise draws.
+    computed on the same noise draws.  Trial i uses the same draws at every
+    point, each point the prefix its horizon needs.
     """
     if len(calI_grid) == 0:
         raise ValueError("calI grid must be non-empty")
     if lambda0 <= 1.0:
         raise ValueError(f"lambda0 must be > 1, got {lambda0}")
     points: list[TransitionPoint] = []
+    feasible: list[tuple[int, _Liquidation]] = []  # (index into points, liquidation)
     for cal_i in calI_grid:
         if cal_i < 0.0:
             raise ValueError(f"calI must be non-negative, got {cal_i}")
@@ -292,7 +358,7 @@ def transition_curve(
         n_days = round(q_over_v / eta)
         if n_days < 1:
             points.append(
-                TransitionPoint(cal_i, math.nan, math.nan, math.nan, feasible=False)
+                TransitionPoint(float(cal_i), math.nan, math.nan, math.nan, feasible=False)
             )
             continue
         Q = q_over_v * V
@@ -306,30 +372,33 @@ def transition_curve(
             bankruptcy_mode=bankruptcy_mode,
             noise_sigma=noise_sigma,
         )
-        det = _deterministic_prices(config, n_days)
-        scale = _noise_scale(config)
-        q_rem = np.maximum(Q - np.arange(1, n_days + 1) * config.schedule.delta_q, 0.0)
-        bankrupt = 0
-        bankrupt_noimpact = 0
-        if scale > 0.0:
-            for noise in _noise_batches(master_seed, n_trials, n_days):
-                cum = p0 * scale * np.cumsum(noise, axis=1)
-                bankrupt += int(_bankrupt_mask(config, det + cum, q_rem).sum())
-                bankrupt_noimpact += int(_bankrupt_mask(config, p0 + cum, q_rem).sum())
-        else:
-            if _is_bankrupt(config, det, q_rem):
-                bankrupt = n_trials
-            if _is_bankrupt(config, np.full(n_days, p0), q_rem):
-                bankrupt_noimpact = n_trials
-        p = bankrupt / n_trials
+        feasible.append((len(points), _liquidation(config, n_days)))
+        # Probabilities are filled in from the kernel's counts below.
         points.append(
-            TransitionPoint(
-                calI=float(cal_i),
-                p_bankrupt=p,
-                std_error=math.sqrt(p * (1.0 - p) / n_trials),
-                p_bankrupt_noimpact=bankrupt_noimpact / n_trials,
-                n_days=n_days,
-            )
+            TransitionPoint(float(cal_i), math.nan, math.nan, math.nan, n_days=n_days)
+        )
+    if not feasible:
+        return points
+    noise_scale = sigma if noise_sigma is None else noise_sigma
+    tallies = _simulate(
+        [liq for _, liq in feasible],
+        bankruptcy_mode,
+        p0,
+        noise_scale,
+        n_trials,
+        master_seed,
+        noimpact=True,
+    )
+    for (k, _), tally in zip(feasible, tallies):
+        pt = points[k]
+        _warn_negative(tally, n_trials * pt.n_days, f"calI={pt.calI!r}: ")
+        p = tally.bankrupt / n_trials
+        points[k] = replace(
+            pt,
+            p_bankrupt=p,
+            std_error=math.sqrt(p * (1.0 - p) / n_trials),
+            p_bankrupt_noimpact=tally.bankrupt_noimpact / n_trials,
+            negative_price_trials=tally.negative_trials,
         )
     return points
 
@@ -344,6 +413,10 @@ def fit_transition(calIs: np.ndarray, ps: np.ndarray) -> FittedTransition:
     width (calI span between p = 0.1 and p = 0.9) even when the sampled
     curve itself never reaches those levels.
     """
+    # scipy is imported here, its only use, to keep it off the CLI's start-up.
+    from scipy.optimize import curve_fit
+    from scipy.special import erf
+
     calIs = np.asarray(calIs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     keep = ~np.isnan(ps)

@@ -215,6 +215,22 @@ def test_bankruptcy_zero_noise_step(capsys):
     assert [float(r["p_bankrupt"]) for r in rows] == [0.0, 0.0, 1.0]
 
 
+def test_bankruptcy_csv_cells_parse_as_floats(capsys):
+    # The grid holds calI = 0, an infeasible point (0.02) and feasible ones.
+    code, out, _ = run(
+        capsys, "bankruptcy", "--lambda0", "9", "--eta", "10",
+        "--impact-grid", "0:0.32:17", "--trials", "20", "--sigma", "1%", "--seed", "3",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 18
+    cells = [cell for row in rows[1:] for cell in row]
+    assert len(cells) == 17 * 4
+    for cell in cells:
+        float(cell)
+    assert rows[2][0] == "0.02"
+
+
 def test_bankruptcy_bad_grid_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0-0.3-4"])

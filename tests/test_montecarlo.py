@@ -7,9 +7,11 @@ import pytest
 
 from impactval.impact import ImpactParams
 from impactval.montecarlo import (
+    _BATCH,
     BankruptcyMode,
     LiquidationSchedule,
     MonteCarloConfig,
+    _cumulative_noise,
     bankruptcy_probability,
     fit_transition,
     simulate_price_path,
@@ -248,3 +250,126 @@ def test_transition_csv_rows():
     assert rows[0] == ["calI", "p_bankrupt", "std_error", "p_bankrupt_noimpact"]
     assert len(rows) == 3
     assert float(rows[1][0]) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**64 + 3])
+def test_rekeyed_stream_matches_trial_rng(seed):
+    indices = (0, 1, _BATCH - 1, _BATCH, 9999)
+    batches = list(_cumulative_noise(seed, 10_000, 5, 1.0))
+    for i in indices:
+        expected = np.random.Generator(np.random.Philox(key=seed).jumped(i)).standard_normal(5)
+        assert np.array_equal(trial_rng(seed, i).standard_normal(5), expected)
+        row = batches[i // _BATCH][i % _BATCH]
+        assert np.array_equal(row, np.cumsum(expected))
+    # The whole 64-bit counter word: indices past 2**63 must not wrap.
+    last = np.random.Generator(np.random.Philox(key=seed).jumped(2**64 - 1)).standard_normal(5)
+    assert np.array_equal(trial_rng(seed, 2**64 - 1).standard_normal(5), last)
+
+
+def _oracle_counts(lambda0, eta, cal_i, n_trials, seed, mode, noise_sigma, sigma=0.01):
+    """Bankruptcy counts of one curve point from per-trial public price paths."""
+    n_days = round((cal_i / sigma) ** 2 / eta)
+    config = make_config(
+        lambda0, cal_i, n_days, sigma=sigma, n_trials=n_trials, master_seed=seed,
+        bankruptcy_mode=mode, noise_sigma=noise_sigma,
+    )
+    drift_free = MonteCarloConfig(
+        position=config.position,
+        params=ImpactParams(Y=0.0, sigma=sigma, V=config.params.V),
+        schedule=config.schedule,
+        n_trials=n_trials,
+        master_seed=seed,
+        noise_sigma=noise_sigma,
+    )
+    dq, L = config.schedule.delta_q, config.position.L
+    q_rem = np.maximum(config.position.Q - np.arange(1, n_days + 1) * dq, 0.0)
+
+    def bankrupt(daily):
+        if mode is BankruptcyMode.AT_END:
+            return dq * daily.sum() < L
+        return any(dq * np.cumsum(daily) + q_rem * daily < L)
+
+    counts = [0, 0, 0]
+    for i in range(n_trials):
+        path = simulate_price_path(config, i)
+        counts[0] += bankrupt(path.prices[1:])
+        counts[1] += bankrupt(simulate_price_path(drift_free, i).prices[1:])
+        counts[2] += path.negative_steps > 0
+    return n_days, counts
+
+
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("mode", list(BankruptcyMode))
+@pytest.mark.parametrize("noise_sigma", [None, 0.0, 0.4])
+def test_transition_curve_matches_per_trial_oracle(mode, noise_sigma):
+    grid = [0.02, 0.08, 0.15, 0.2, 0.26]
+    n_trials = 600
+    points = transition_curve(
+        9.0, 10.0, grid, n_trials=n_trials, master_seed=31, sigma=0.01,
+        bankruptcy_mode=mode, noise_sigma=noise_sigma,
+    )
+    assert not points[0].feasible
+    for pt, cal_i in zip(points[1:], grid[1:]):
+        n_days, (bankrupt, bankrupt_noimpact, negative) = _oracle_counts(
+            9.0, 10.0, cal_i, n_trials, 31, mode, noise_sigma
+        )
+        assert pt.n_days == n_days
+        assert pt.p_bankrupt == bankrupt / n_trials
+        assert pt.p_bankrupt_noimpact == bankrupt_noimpact / n_trials
+        assert pt.negative_price_trials == negative
+
+
+# Captured from the per-point implementation this kernel replaced: bankrupt
+# and no-impact counts out of 700 trials per grid point (None = infeasible).
+GOLDEN_GRID = [0.0, 0.02, 0.05, 0.08, 0.12, 0.15, 0.1667, 0.2, 0.3]
+GOLDEN_DAYS = [0, 0, 2, 6, 14, 22, 28, 40, 90]
+GOLDEN = {
+    (7, BankruptcyMode.AT_END): (
+        [0, None, 0, 0, 83, 290, 379, 517, 663], [0, None, 0, 0, 0, 0, 0, 1, 16]
+    ),
+    (7, BankruptcyMode.ANYWHERE_ON_PATH): (
+        [0, None, 0, 0, 90, 303, 395, 539, 677], [0, None, 0, 0, 0, 0, 0, 2, 25]
+    ),
+    (2**40 + 3, BankruptcyMode.AT_END): (
+        [0, None, 0, 0, 74, 275, 373, 525, 664], [0, None, 0, 0, 0, 0, 0, 0, 10]
+    ),
+    (2**40 + 3, BankruptcyMode.ANYWHERE_ON_PATH): (
+        [0, None, 0, 0, 80, 292, 392, 552, 684], [0, None, 0, 0, 0, 0, 0, 1, 22]
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, mode", list(GOLDEN))
+def test_transition_curve_golden(seed, mode):
+    bankrupt, bankrupt_noimpact = GOLDEN[seed, mode]
+    points = transition_curve(
+        9.0, 10.0, GOLDEN_GRID, n_trials=700, master_seed=seed, sigma=0.01,
+        bankruptcy_mode=mode,
+    )
+    assert [pt.calI for pt in points] == GOLDEN_GRID
+    assert [pt.n_days for pt in points] == GOLDEN_DAYS
+    for pt, k, k_noimpact in zip(points, bankrupt, bankrupt_noimpact):
+        assert type(pt.calI) is float
+        if k is None:
+            assert not pt.feasible and math.isnan(pt.p_bankrupt)
+            continue
+        p = k / 700
+        assert pt.p_bankrupt == p
+        assert pt.std_error == math.sqrt(p * (1.0 - p) / 700)
+        assert pt.p_bankrupt_noimpact == k_noimpact / 700
+
+
+@pytest.mark.parametrize(
+    "noise_sigma, grid",
+    # Noisy paths, and a noise-free path whose impact passes 100% (calI > 1).
+    [(0.5, [0.15, 0.2]), (0.0, [1.1])],
+)
+def test_transition_curve_negative_price_warning(noise_sigma, grid):
+    with pytest.warns(UserWarning, match="negative"):
+        points = transition_curve(
+            9.0, 10.0, grid, n_trials=50, master_seed=3, sigma=0.01, noise_sigma=noise_sigma
+        )
+    assert all(pt.negative_price_trials > 0 for pt in points)
+    if noise_sigma == 0.0:
+        # The one noise-free path stands for every trial.
+        assert [pt.negative_price_trials for pt in points] == [50]
