@@ -34,16 +34,6 @@ from .leverage import (
     small_x_expansion,
     write_trajectory_csv,
 )
-from .montecarlo import (
-    BankruptcyMode,
-    LiquidationSchedule,
-    MonteCarloConfig,
-    MonteCarloResult,
-    bankruptcy_probability,
-    fit_transition,
-    simulate_price_path,
-    transition_curve,
-)
 from .valuation import (
     Position,
     average_valuation_price,
@@ -53,3 +43,26 @@ from .valuation import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo layer needs numpy; its names are looked up on first access
+# (PEP 562) so that importing the package, and the CLI, does not load numpy.
+_MONTECARLO_NAMES = frozenset(
+    {
+        "BankruptcyMode",
+        "LiquidationSchedule",
+        "MonteCarloConfig",
+        "MonteCarloResult",
+        "bankruptcy_probability",
+        "fit_transition",
+        "simulate_price_path",
+        "transition_curve",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

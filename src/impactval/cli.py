@@ -16,24 +16,32 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# numpy is loaded only by the commands that compute on arrays: bankruptcy
+# imports the Monte Carlo layer when it runs, and estimate's layer imports
+# numpy inside its functions.
 from . import leverage as lev
-from . import montecarlo as mc
 from .estimation import EstimationPolicy, estimate_params, load_series
 from .impact import ImpactParams, check_validity, expected_impact, impact_from_spread
 from .valuation import Position, average_valuation_price, liquidation_value
 
 
+def finite_float(text: str) -> float:
+    """Parse a finite number; nan and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_fraction(text: str) -> float:
-    """Parse a decimal fraction, accepting a '%' suffix ('6.3%' -> 0.063)."""
+    """Parse a finite decimal fraction, accepting a '%' suffix ('6.3%' -> 0.063)."""
     text = text.strip()
     if text.endswith("%"):
-        return float(text[:-1]) / 100.0
-    return float(text)
+        return finite_float(text[:-1]) / 100.0
+    return finite_float(text)
 
 
-def parse_grid(text: str) -> np.ndarray:
+def parse_grid(text: str) -> list[float]:
     """Parse 'start:stop:count' into a uniform grid."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -42,7 +50,7 @@ def parse_grid(text: str) -> np.ndarray:
     count = int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {count}")
-    return np.linspace(start, stop, count)
+    return lev.linspace(start, stop, count)
 
 
 def _percent(x: float) -> str:
@@ -61,13 +69,13 @@ def _params_from_args(args) -> ImpactParams:
 
 def _add_params_flags(parser) -> None:
     parser.add_argument("--params", metavar="FILE", help="impact-parameter config file")
-    parser.add_argument("--Y", type=float, default=1.0, help="impact coefficient (default 1)")
+    parser.add_argument("--Y", type=finite_float, default=1.0, help="impact coefficient (default 1)")
     parser.add_argument("--sigma", type=parse_fraction, help="daily volatility (fraction or %%)")
-    parser.add_argument("--V", type=float, help="daily volume, same units as Q")
+    parser.add_argument("--V", type=finite_float, help="daily volume, same units as Q")
     parser.add_argument("--S", type=parse_fraction, default=None, help="bid-ask spread fraction")
-    parser.add_argument("--v", type=float, default=None, help="volume at best quotes")
-    parser.add_argument("--b", type=float, default=None, help="spread-volatility coefficient")
-    parser.add_argument("--phi", type=float, default=None, help="transactions per day")
+    parser.add_argument("--v", type=finite_float, default=None, help="volume at best quotes")
+    parser.add_argument("--b", type=finite_float, default=None, help="spread-volatility coefficient")
+    parser.add_argument("--phi", type=finite_float, default=None, help="transactions per day")
 
 
 def _write_text(args, text: str) -> None:
@@ -75,6 +83,22 @@ def _write_text(args, text: str) -> None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return value
+
+
+def _write_json(args, payload) -> None:
+    """Write indented JSON; nan and infinities are written as null."""
+    _write_text(args, json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _write_rows(args, rows) -> None:
@@ -103,7 +127,7 @@ def cmd_value(args) -> int:
         "warnings": [flag.value for flag in report.flags],
     }
     if args.format == "json":
-        _write_text(args, json.dumps(payload, indent=2) + "\n")
+        _write_json(args, payload)
     else:
         lines = [
             f"mark-to-market value:   {mtm:.6g}",
@@ -137,7 +161,7 @@ def cmd_trajectory(args) -> int:
             cal_i = expected_impact(params, args.Q)
         else:
             raise ValueError("need --lambda0 and --impact, or a full position with parameters")
-        points = lev.deleverage_trajectory(lambda0, cal_i, np.linspace(0.0, 1.0, args.grid))
+        points = lev.deleverage_trajectory(lambda0, cal_i, lev.linspace(0.0, 1.0, args.grid))
     if args.out:
         lev.write_trajectory_csv(points, args.out)
     else:
@@ -174,7 +198,7 @@ def cmd_critical(args) -> int:
         if report.x_c is not None:
             payload["x_c"] = report.x_c
     if args.format == "json":
-        _write_text(args, json.dumps(payload, indent=2) + "\n")
+        _write_json(args, payload)
     else:
         lines = []
         for key, value in payload.items():
@@ -187,6 +211,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_bankruptcy(args) -> int:
+    from . import montecarlo as mc
+
     mode = (
         mc.BankruptcyMode.ANYWHERE_ON_PATH
         if args.mc_mode == "anywhere"
@@ -207,47 +233,66 @@ def cmd_bankruptcy(args) -> int:
     return 0
 
 
+_REPORT_FIELDS = ("sigma", "V", "S", "v", "impact_vol_based", "impact_spread_based", "lambda_c")
+
+
+def _asset_row(asset) -> dict:
+    """Impacts and critical leverage of one asset section; bad values raise ValueError."""
+
+    def number(key, parse=finite_float):
+        raw = asset.get(key)
+        if raw is None:
+            return None
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
+    Y = number("Y")
+    if Y is None:
+        Y = 1.0
+    sigma, V, Q = number("sigma", parse_fraction), number("V"), number("Q")
+    S, v, b = number("S", parse_fraction), number("v"), number("b")
+    i1 = i2 = None
+    if sigma is not None and V is not None and Q is not None:
+        i1 = expected_impact(ImpactParams(Y=Y, sigma=sigma, V=V), Q)
+    if S is not None and v is not None and b is not None and Q is not None:
+        if v <= 0:
+            raise ValueError(f"v must be positive, got {v}")
+        i2 = impact_from_spread(Y, b, S, Q / v)
+    # The volume-based impact sets the critical leverage when both exist.
+    positive = [i for i in (i1, i2) if i is not None and i > 0]
+    return {
+        "sigma": sigma,
+        "V": V,
+        "S": S,
+        "v": v,
+        "impact_vol_based": i1,
+        "impact_spread_based": i2,
+        "lambda_c": lev.CRITICAL_PRODUCT / positive[0] if positive else None,
+        "error": None if (i1 is not None or i2 is not None) else "no usable parameters",
+    }
+
+
 def _report_rows(config_path: str):
-    config = configparser.ConfigParser()
+    """One row per asset section; an asset with bad values carries the error in its row."""
+    config = configparser.ConfigParser(interpolation=None)
     config.optionxform = str  # V and v are distinct keys
-    read = config.read(config_path)
+    try:
+        read = config.read(config_path)
+    except configparser.Error as exc:
+        detail = "; ".join(line.strip() for line in exc.message.splitlines())
+        raise ValueError(f"cannot parse asset config {config_path!r}: {detail}") from None
     if not read:
         raise ValueError(f"cannot read asset config {config_path!r}")
     rows = []
     for section in config.sections():
-        asset = config[section]
-        Y = asset.getfloat("Y", fallback=1.0)
-
-        def frac(key):
-            raw = asset.get(key, fallback=None)
-            return parse_fraction(raw) if raw is not None else None
-
-        sigma, V, Q = frac("sigma"), asset.getfloat("V", fallback=None), asset.getfloat("Q", fallback=None)
-        S, v, b = frac("S"), asset.getfloat("v", fallback=None), asset.getfloat("b", fallback=None)
-        i1 = i2 = None
-        if sigma is not None and V is not None and Q is not None:
-            i1 = Y * sigma * math.sqrt(Q / V)
-        if S is not None and v is not None and b is not None and Q is not None:
-            i2 = impact_from_spread(Y, b, S, Q / v)
-        if i1 is not None and i1 > 0:
-            lambda_c = 1.5 / i1
-        elif i2 is not None and i2 > 0:
-            lambda_c = 1.5 / i2
-        else:
-            lambda_c = None
-        rows.append(
-            {
-                "name": section,
-                "sigma": sigma,
-                "V": V,
-                "S": S,
-                "v": v,
-                "impact_vol_based": i1,
-                "impact_spread_based": i2,
-                "lambda_c": lambda_c,
-                "error": None if (i1 is not None or i2 is not None) else "no usable parameters",
-            }
-        )
+        try:
+            row = _asset_row(config[section])
+        except ValueError as exc:
+            row = dict.fromkeys(_REPORT_FIELDS)
+            row["error"] = str(exc)
+        rows.append({"name": section, **row})
     return rows
 
 
@@ -257,10 +302,10 @@ def cmd_report(args) -> int:
         path = str(importlib.resources.files("impactval") / "data" / "assets.ini")
     rows = _report_rows(path)
     if args.format == "json":
-        _write_text(args, json.dumps(rows, indent=2) + "\n")
+        _write_json(args, rows)
         return 0
     if args.format == "csv":
-        out = [["name", "sigma", "V", "S", "v", "impact_vol_based", "impact_spread_based", "lambda_c"]]
+        out = [["name", *_REPORT_FIELDS]]
         for row in rows:
             out.append(
                 ["" if row[k] is None else repr(row[k]) if isinstance(row[k], float) else str(row[k])
@@ -305,7 +350,7 @@ def cmd_estimate(args) -> int:
             for k in ("Y", "sigma", "V", "S", "v", "b", "phi")
             if getattr(params, k) is not None
         }
-        _write_text(args, json.dumps(payload, indent=2) + "\n")
+        _write_json(args, payload)
     else:
         _write_text(args, params.to_config_text())
     return 0
@@ -341,20 +386,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_value = sub.add_parser("value", help="mark-to-market vs impact-adjusted valuation")
-    p_value.add_argument("--Q", type=float, required=True)
-    p_value.add_argument("--p0", type=float, required=True)
-    p_value.add_argument("--L", type=float, default=0.0)
+    p_value.add_argument("--Q", type=finite_float, required=True)
+    p_value.add_argument("--p0", type=finite_float, required=True)
+    p_value.add_argument("--L", type=finite_float, default=0.0)
     _add_params_flags(p_value)
     add_global_flags(p_value, suppress=True)
     p_value.set_defaults(func=cmd_value)
 
     p_traj = sub.add_parser("trajectory", help="leverage trajectory CSV (exit or round trip)")
-    p_traj.add_argument("--lambda0", type=float)
+    p_traj.add_argument("--lambda0", type=finite_float)
     p_traj.add_argument("--impact", type=parse_fraction, help="full-position impact I(Q)")
-    p_traj.add_argument("--Q", type=float)
-    p_traj.add_argument("--p0", type=float)
-    p_traj.add_argument("--L", type=float, default=0.0)
-    p_traj.add_argument("--E0", type=float, help="initial equity (roundtrip mode)")
+    p_traj.add_argument("--Q", type=finite_float)
+    p_traj.add_argument("--p0", type=finite_float)
+    p_traj.add_argument("--L", type=finite_float, default=0.0)
+    p_traj.add_argument("--E0", type=finite_float, help="initial equity (roundtrip mode)")
     p_traj.add_argument("--grid", type=int, default=1000)
     p_traj.add_argument("--mode", choices=("exit", "roundtrip"), default="exit")
     _add_params_flags(p_traj)
@@ -362,27 +407,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.set_defaults(func=cmd_trajectory)
 
     p_crit = sub.add_parser("critical", help="criticality report (regime, I_c, lambda_c, x*, x_c)")
-    p_crit.add_argument("--lambda0", type=float)
+    p_crit.add_argument("--lambda0", type=finite_float)
     p_crit.add_argument("--impact", type=parse_fraction)
-    p_crit.add_argument("--Q", type=float)
-    p_crit.add_argument("--p0", type=float)
-    p_crit.add_argument("--L", type=float, default=0.0)
+    p_crit.add_argument("--Q", type=finite_float)
+    p_crit.add_argument("--p0", type=finite_float)
+    p_crit.add_argument("--L", type=finite_float, default=0.0)
     _add_params_flags(p_crit)
     add_global_flags(p_crit, suppress=True)
     p_crit.set_defaults(func=cmd_critical)
 
     p_bank = sub.add_parser("bankruptcy", help="bankruptcy-probability transition curve CSV")
-    p_bank.add_argument("--lambda0", type=float, required=True)
-    p_bank.add_argument("--eta", type=float, required=True, help="participation rate delta_q/V")
+    p_bank.add_argument("--lambda0", type=finite_float, required=True)
+    p_bank.add_argument("--eta", type=finite_float, required=True, help="participation rate delta_q/V")
     p_bank.add_argument(
-        "--impact-grid", type=parse_grid, default=parse_grid("0:0.3:16"),
+        "--impact-grid", type=parse_grid, default="0:0.3:16",
         help="start:stop:count",
     )
     p_bank.add_argument("--trials", type=int, default=10000)
     p_bank.add_argument("--sigma", type=parse_fraction, help="daily volatility (default 0.02)")
     p_bank.add_argument("--noise-sigma", type=parse_fraction, default=None,
                         help="background noise level (0 for deterministic paths)")
-    p_bank.add_argument("--Y", type=float, default=1.0)
+    p_bank.add_argument("--Y", type=finite_float, default=1.0)
     p_bank.add_argument("--mc-mode", choices=("at-end", "anywhere"), default="at-end")
     add_global_flags(p_bank, suppress=True)
     p_bank.set_defaults(func=cmd_bankruptcy)
@@ -402,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--window", type=int, default=126)
     p_est.add_argument("--exclusion", type=int, default=5)
     p_est.add_argument("--halflife", type=int, default=63)
-    p_est.add_argument("--Y", type=float, default=1.0)
+    p_est.add_argument("--Y", type=finite_float, default=1.0)
     add_global_flags(p_est, suppress=True)
     p_est.set_defaults(func=cmd_estimate)
 

@@ -13,13 +13,17 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .impact import ImpactParams
 
 REQUIRED_COLUMNS = ("date", "close", "volume")
 OPTIONAL_COLUMNS = ("spread", "best_quote_volume")
+
+# numpy is imported by the functions that build arrays, so that importing
+# this module (and the CLI, which imports it) does not load numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class MarketSeries:
     best_quote_volume: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         n = len(self.dates)
         for name in ("close", "volume", "spread", "best_quote_volume"):
             col = getattr(self, name)
@@ -81,6 +87,8 @@ def ema(values, halflife_days: float) -> float:
     value k days older decays as 2**(-k / halflife_days).  Normalizing over
     the values actually present keeps short histories unbiased.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot average an empty series")
@@ -97,6 +105,8 @@ def estimate_params(series: MarketSeries, policy: EstimationPolicy, Y: float) ->
     daily close-to-close returns, V the EMA of daily volume, and S / v
     their analogues when the optional columns are present.
     """
+    import numpy as np
+
     required = policy.window_days + policy.exclusion_days
     if len(series) < required:
         raise ValueError(
@@ -126,6 +136,8 @@ def load_series(path: str | Path) -> MarketSeries:
 
     Validation failures report the first offending data row (1-based).
     """
+    import numpy as np
+
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)

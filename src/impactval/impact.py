@@ -67,6 +67,10 @@ class ImpactParams:
     phi: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("Y", "sigma", "V", "S", "v", "b", "phi"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.Y < 0:
             raise ValueError(f"Y must be non-negative, got {self.Y}")
         if self.sigma < 0:

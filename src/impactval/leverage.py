@@ -24,8 +24,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
 from .impact import ImpactParams, expected_impact, impact_from_spread
 from .rootfind import bisect_root
 from .valuation import Position, liquidation_value, remaining_liquidation_value
@@ -90,6 +88,22 @@ class CriticalityReport:
     lambda_c: float
     x_star: float | None = None
     x_c: float | None = None
+
+
+def linspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced values from start to stop, both included.
+
+    Element for element equal to ``numpy.linspace(start, stop, count).tolist()``:
+    the same products ``i * step + start``, with the last value set to stop.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if count < 2:
+        return [start] * count
+    step = (stop - start) / (count - 1)
+    values = [i * step + start for i in range(count)]
+    values[-1] = stop
+    return values
 
 
 def mtm_leverage(Q: float, p: float, L: float) -> float:
@@ -347,11 +361,10 @@ def entry_exit_trajectories(
     if e0 <= 0.0:
         raise ValueError(f"initial equity must be positive, got {e0}")
     q_total, p0 = pos.Q, pos.p0
-    xs = np.linspace(0.0, 1.0, grid_size)
+    xs = linspace(0.0, 1.0, grid_size)
 
     entry: list[TrajectoryPoint] = []
     for x in xs:
-        x = float(x)
         q = x * q_total
         impact_q = expected_impact(params, q)
         marginal = p0 * (1.0 + impact_q)
@@ -361,7 +374,7 @@ def entry_exit_trajectories(
         adj_assets = q * p0 * (1.0 - (2.0 / 3.0) * impact_q)
         entry.append(
             TrajectoryPoint(
-                x=float(x),
+                x=x,
                 q_held=q,
                 marginal_price=marginal,
                 cash=spent,
@@ -377,7 +390,6 @@ def entry_exit_trajectories(
     lambda0_ni = q_total * p0 / e0
     exit_leg: list[TrajectoryPoint] = []
     for x in xs:
-        x = float(x)
         q_sold = x * q_total
         u = math.sqrt(x)
         marginal = p0 * (1.0 - cal_i * u)
@@ -386,7 +398,7 @@ def entry_exit_trajectories(
         adj_assets = remaining_liquidation_value(exit_pos, params, q_sold)
         exit_leg.append(
             TrajectoryPoint(
-                x=float(x),
+                x=x,
                 q_held=q_total - q_sold,
                 marginal_price=marginal,
                 cash=cash,

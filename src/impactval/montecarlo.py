@@ -219,6 +219,29 @@ def _bankrupt_mask(mode: BankruptcyMode, liq: _Liquidation, daily: np.ndarray) -
 # Trials per vectorized batch; bounds the noise matrix to a few megabytes.
 _BATCH = 512
 
+# Largest working set a simulation may ask for, checked before any array is built.
+_MEMORY_BUDGET_BYTES = 1 << 30
+# Float arrays of (batch, horizon) alive at once in _simulate: the walk, the
+# point's prices, and in the path-wise test with the no-impact companion the
+# no-impact prices, the running proceeds and one product.
+_BATCH_ARRAYS = 5
+
+
+def _check_memory(horizons: "list[int]", n_trials: int) -> None:
+    """Refuse a simulation whose arrays would not fit in the memory budget.
+
+    Each liquidation keeps two float vectors of its horizon (noise-free
+    prices and shares held); the batch loop holds _BATCH_ARRAYS float
+    matrices of (trials per batch, longest horizon).
+    """
+    horizon = max(horizons)
+    needed = 8 * (2 * sum(horizons) + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon)
+    if needed > _MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"a {horizon}-day horizon needs {needed / 2**30:.3g} GiB of memory, "
+            f"over the {_MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
+
 
 def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float):
     """Random-walk offsets step * cumsum(n) per trial, in (trials, horizon) batches.
@@ -300,6 +323,7 @@ def bankruptcy_probability(config: MonteCarloConfig) -> MonteCarloResult:
     position at that day's price.
     """
     n_days = _n_days(config.schedule)
+    _check_memory([n_days], config.n_trials)
     (tally,) = _simulate(
         [_liquidation(config, n_days)],
         config.bankruptcy_mode,
@@ -346,8 +370,12 @@ def transition_curve(
         raise ValueError("calI grid must be non-empty")
     if lambda0 <= 1.0:
         raise ValueError(f"lambda0 must be > 1, got {lambda0}")
+    if eta <= 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if Y <= 0.0 or sigma <= 0.0:
+        raise ValueError(f"Y and sigma must be positive, got Y={Y}, sigma={sigma}")
     points: list[TransitionPoint] = []
-    feasible: list[tuple[int, _Liquidation]] = []  # (index into points, liquidation)
+    feasible: list[tuple[int, MonteCarloConfig]] = []  # (index into points, config)
     for cal_i in calI_grid:
         if cal_i < 0.0:
             raise ValueError(f"calI must be non-negative, got {cal_i}")
@@ -372,16 +400,18 @@ def transition_curve(
             bankruptcy_mode=bankruptcy_mode,
             noise_sigma=noise_sigma,
         )
-        feasible.append((len(points), _liquidation(config, n_days)))
+        feasible.append((len(points), config))
         # Probabilities are filled in from the kernel's counts below.
         points.append(
             TransitionPoint(float(cal_i), math.nan, math.nan, math.nan, n_days=n_days)
         )
     if not feasible:
         return points
+    horizons = [points[k].n_days for k, _ in feasible]
+    _check_memory(horizons, n_trials)
     noise_scale = sigma if noise_sigma is None else noise_sigma
     tallies = _simulate(
-        [liq for _, liq in feasible],
+        [_liquidation(config, n) for (_, config), n in zip(feasible, horizons)],
         bankruptcy_mode,
         p0,
         noise_scale,

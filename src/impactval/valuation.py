@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .impact import ImpactParams, expected_impact
 
 
@@ -34,6 +32,10 @@ class Position:
     E0: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("Q", "p0", "L", "E0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.Q < 0:
             raise ValueError(f"Q must be non-negative, got {self.Q}")
         if self.p0 <= 0:
@@ -63,6 +65,8 @@ def liquidation_value_discrete(pos: Position, params: ImpactParams, n_increments
         raise ValueError(f"n_increments must be >= 1, got {n_increments}")
     if pos.Q == 0:
         return 0.0
+    import numpy as np
+
     cal_i = expected_impact(params, pos.Q)
     # I(t*Q/N) = I(Q) * sqrt(t/N); factor the sum accordingly.
     t = np.arange(1, n_increments + 1, dtype=np.float64)

@@ -23,6 +23,28 @@ def test_parse_fraction():
     assert parse_fraction(" 15% ") == pytest.approx(0.15)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "--Q", "1e6", "--p0", "10", "--sigma", "nan", "--V", "1e6"],
+        ["value", "--Q", "1e6", "--p0", "10", "--sigma", "2%", "--V", "inf"],
+        ["value", "--Q=-inf", "--p0", "10", "--sigma", "2%", "--V", "1e6"],
+        ["value", "--Q", "1e6", "--p0", "nan", "--sigma", "nan%", "--V", "1e6"],
+        ["critical", "--lambda0", "nan", "--impact", "0.1"],
+        ["critical", "--lambda0", "9", "--impact", "inf%"],
+        ["trajectory", "--lambda0", "9", "--impact=-inf"],
+        ["bankruptcy", "--lambda0", "9", "--eta", "inf"],
+        ["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0:nan:3"],
+        ["estimate", "series.csv", "--Y", "nan"],
+    ],
+)
+def test_non_finite_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
 def test_parse_grid():
     grid = parse_grid("0:0.3:4")
     assert np.allclose(grid, [0.0, 0.1, 0.2, 0.3])
@@ -83,6 +105,17 @@ def test_value_missing_params_exit_1(capsys):
     code, _, err = run(capsys, "value", "--Q", "1e6", "--p0", "10")
     assert code == 1
     assert "error:" in err
+
+
+def test_value_non_finite_params_file_exit_1(tmp_path, capsys):
+    params = tmp_path / "params.ini"
+    params.write_text("Y = 1.0\nsigma = nan\nV = 1e6\n")
+    code, out, err = run(
+        capsys, "value", "--Q", "1e6", "--p0", "10", "--params", str(params), "--format", "json"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: sigma must be finite, got nan\n"
 
 
 def test_trajectory_no_impact_is_linear(capsys):
@@ -150,6 +183,19 @@ def test_critical_lambda0_only(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["I_c"] == pytest.approx(1.0 / 6.0, rel=1e-12)
+
+
+def test_critical_json_writes_null_for_infinite_leverage(capsys):
+    # Zero impact gives lambda_c = inf, which JSON cannot spell.
+    code, out, _ = run(capsys, "critical", "--lambda0", "9", "--impact", "0", "--format", "json")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["lambda_c"] is None
+    assert payload["regime"] == "SUBCRITICAL"
 
 
 def test_critical_subcritical_report(capsys):
@@ -237,6 +283,22 @@ def test_bankruptcy_bad_grid_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # calI = 0.02 at sigma = 2% and eta = 1e-9 alone asks for a 1e9-day horizon.
+        (["--eta", "1e-9", "--trials", "10"], "GiB"),
+        (["--eta", "0"], "eta must be positive"),
+        (["--eta", "10", "--sigma", "0"], "sigma must be positive"),
+    ],
+)
+def test_bankruptcy_bad_horizon_exit_1(flags, message, capsys):
+    code, out, err = run(capsys, "bankruptcy", "--lambda0", "9", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_report_bundled_fixture(capsys):
     code, out, _ = run(capsys, "report", "--format", "json")
     assert code == 0
@@ -275,6 +337,43 @@ def test_report_row_level_error_marker(tmp_path, capsys):
     code, out, _ = run(capsys, "report", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["error"] == "no usable parameters"
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("sigma = 2%\nV = 0\nQ = 1e6\n", "V must be positive, got 0.0"),
+        ("sigma = 2%\nV = -5\nQ = 1e6\n", "V must be positive, got -5.0"),
+        ("sigma = 2%\nV = 1e6\nQ = 1e6\n", None),
+        ("sigma = nan\nV = 1e6\nQ = 1e6\n", "sigma: expected a finite number, got 'nan'"),
+        ("S = 1e-4\nv = 0\nb = 0.7\nQ = 1e6\n", "v must be positive, got 0.0"),
+    ],
+    ids=["zero-volume", "negative-volume", "percent-sigma", "nan-sigma", "zero-quote-volume"],
+)
+def test_report_bad_asset_errors_in_its_row(tmp_path, capsys, body, error):
+    path = tmp_path / "assets.ini"
+    path.write_text(f"[Good]\nsigma = 0.02\nV = 1e6\nQ = 4e6\n\n[Asset]\n{body}")
+    code, out, _ = run(capsys, "report", str(path), "--format", "json")
+    assert code == 0
+    good, asset = json.loads(out)
+    assert good["impact_vol_based"] == pytest.approx(0.04)
+    assert good["error"] is None
+    assert asset["error"] == error
+    if error is None:
+        assert asset["sigma"] == pytest.approx(0.02)
+        assert asset["impact_vol_based"] == pytest.approx(0.02)
+        assert asset["lambda_c"] == pytest.approx(75.0)
+    else:
+        assert asset["impact_vol_based"] is None and asset["lambda_c"] is None
+
+
+def test_report_malformed_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "assets.ini"
+    path.write_text("Q = 1e6\n")
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 1
+    assert err.startswith("error: cannot parse asset config")
+    assert len(err.splitlines()) == 1
 
 
 def test_report_unreadable_file(capsys):

@@ -167,6 +167,14 @@ def test_params_validation():
         ImpactParams(Y=1.0, sigma=0.02, V=1e6, phi=0.0)
 
 
+@pytest.mark.parametrize("field", ["Y", "sigma", "V", "S", "v", "b", "phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    kwargs = {"Y": 1.0, "sigma": 0.02, "V": 1e6, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ImpactParams(**kwargs)
+
+
 def test_params_unusual_b_warns_but_constructs():
     with pytest.warns(UserWarning):
         params = ImpactParams(Y=1.0, sigma=0.02, V=1e6, b=0.3)

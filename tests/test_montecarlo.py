@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from impactval import montecarlo
 from impactval.impact import ImpactParams
 from impactval.montecarlo import (
     _BATCH,
     BankruptcyMode,
     LiquidationSchedule,
     MonteCarloConfig,
+    _check_memory,
     _cumulative_noise,
     bankruptcy_probability,
     fit_transition,
@@ -218,6 +220,32 @@ def test_transition_curve_validation():
         transition_curve(1.0, 10.0, [0.1], n_trials=10, master_seed=0)
     with pytest.raises(ValueError):
         transition_curve(9.0, 10.0, [-0.1], n_trials=10, master_seed=0)
+    for kwargs in ({"sigma": 0.0}, {"Y": 0.0}):
+        with pytest.raises(ValueError):
+            transition_curve(9.0, 10.0, [0.1], n_trials=10, master_seed=0, **kwargs)
+    for eta in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            transition_curve(9.0, eta, [0.1], n_trials=10, master_seed=0)
+
+
+def test_memory_budget_checked_before_allocation():
+    # calI = 0.3 at sigma = 2% and eta = 1e-9 asks for a 2.25e11-day horizon:
+    # its noise-free price vector alone would take 1.8 TB.
+    with pytest.raises(ValueError, match=r"225000000000-day horizon needs [0-9.e+]+ GiB"):
+        transition_curve(9.0, 1e-9, [0.3], 10, 1)
+    with pytest.raises(ValueError, match="GiB"):
+        bankruptcy_probability(make_config(9.0, 0.3, 10**10, n_trials=10))
+
+
+def test_memory_budget_admits_long_horizon_grid(monkeypatch):
+    # The long-horizon benchmark grid (calI to 0.32 at sigma = 1%, eta = 0.1,
+    # horizons to 10240 days, 1000 trials) fits in a quarter of the budget.
+    horizons = [round((c / 0.01) ** 2 / 0.1) for c in np.linspace(0.0, 0.32, 17)[1:]]
+    assert max(horizons) == 10240
+    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", 2**30 // 4)
+    _check_memory(horizons, 1000)
+    with pytest.raises(ValueError):
+        _check_memory(horizons + [4 * 10240], 1000)
 
 
 def test_fit_transition_recovers_synthetic_probit():

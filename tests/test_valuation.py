@@ -33,6 +33,14 @@ def test_position_validation():
         Position(Q=1.0, p0=1.0, L=-1.0)
 
 
+@pytest.mark.parametrize("field", ["Q", "p0", "L", "E0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_position_rejects_non_finite(field, value):
+    kwargs = {"Q": 1.0, "p0": 1.0, "L": 0.0, "E0": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Position(**kwargs)
+
+
 def test_position_equity_and_value():
     pos = Position(Q=100.0, p0=2.0, L=150.0)
     assert pos.mtm_value == 200.0
