@@ -143,6 +143,8 @@ def cmd_value(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    if args.grid < 2:
+        raise ValueError(f"grid must be >= 2, got {args.grid}")
     if args.mode == "roundtrip":
         if args.Q is None or args.p0 is None:
             raise ValueError("roundtrip mode requires --Q and --p0 plus impact parameters")
@@ -162,10 +164,7 @@ def cmd_trajectory(args) -> int:
         else:
             raise ValueError("need --lambda0 and --impact, or a full position with parameters")
         points = lev.deleverage_trajectory(lambda0, cal_i, lev.linspace(0.0, 1.0, args.grid))
-    if args.out:
-        lev.write_trajectory_csv(points, args.out)
-    else:
-        sys.stdout.write(lev.trajectory_csv_text(points))
+    lev.write_trajectory_csv(points, args.out or sys.stdout)
     return 0
 
 
@@ -233,7 +232,9 @@ def cmd_bankruptcy(args) -> int:
     return 0
 
 
-_REPORT_FIELDS = ("sigma", "V", "S", "v", "impact_vol_based", "impact_spread_based", "lambda_c")
+_REPORT_FIELDS = (
+    "sigma", "V", "S", "v", "impact_vol_based", "impact_spread_based", "lambda_c", "error"
+)
 
 
 def _asset_row(asset) -> dict:

@@ -160,11 +160,14 @@ def load_series(path: str | Path) -> MarketSeries:
             for col in numeric:
                 cell = row[col]
                 try:
-                    numeric[col].append(float(cell))
+                    value = float(cell)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(
                         f"{path}: row {row_idx}: non-numeric {col} value {cell!r}"
                     ) from exc
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: row {row_idx}: non-finite {col} value {cell!r}")
+                numeric[col].append(value)
     try:
         return MarketSeries(
             dates=dates,

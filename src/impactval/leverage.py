@@ -8,16 +8,17 @@ impact:
                 / (1 - lambda0 * calI * sqrt(x) * (1 - x/3))
 
 The denominator reaches its minimum 1 - (2/3)*lambda0*calI at x = 1, so
-liquidation completes iff lambda0 * calI < 3/2.  Above that product the
-trajectory diverges at a bankruptcy fraction x_c < 1 solving a cubic in
-sqrt(x).  Divergence is carried as an explicit math.inf sentinel, never
-raised as an error, so trajectories can be rendered across it.
+liquidation completes iff lambda0 * calI < 3/2.  Below that product
+leverage returns to lambda0 at a crossover x*; above it the trajectory
+diverges at a bankruptcy fraction x_c < 1.  Both solve polynomials in
+sqrt(x), a quadratic and a cubic, and are computed in closed form.
+Divergence is carried as an explicit math.inf sentinel, never raised as an
+error, so trajectories can be rendered across it.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,6 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from .impact import ImpactParams, expected_impact, impact_from_spread
-from .rootfind import bisect_root
 from .valuation import Position, liquidation_value, remaining_liquidation_value
 
 #: Sentinel carried by trajectory data where leverage diverges.
@@ -67,7 +67,7 @@ class TrajectoryPoint:
 class CrossoverResult:
     """Crossover fraction x* where exit leverage first returns to lambda0.
 
-    ``x_star`` comes from root-finding on the trajectory equation, which is
+    ``x_star`` is the closed-form root of the trajectory equation, which is
     authoritative.  ``x_star_printed_form`` evaluates a quoted closed-form
     expression as printed; ``printed_form_mismatch`` records whether the two
     disagree by more than 1e-6 relative.
@@ -206,10 +206,13 @@ def _printed_crossover_form(lambda0: float, calI: float) -> float:
 def crossover_point(lambda0: float, calI: float) -> CrossoverResult:
     """Smallest x in (0, 1) where exit leverage drops back to lambda0.
 
-    Subcritical inputs only (lambda0 * calI < 3/2).  Solved by bracketed
-    bisection on the trajectory equation to |lambda(x*) - lambda0| <
-    1e-10 * lambda0; the quoted closed form is evaluated alongside for
-    the cross-check metadata.
+    Subcritical inputs only (lambda0 * calI < 3/2).  With u = sqrt(x), the
+    condition lambda(x*) = lambda0 is the quadratic
+    calI*(1 - lambda0/3)*u^2 - u + calI*(lambda0 - 1) = 0, whose smaller
+    root is taken in the cancellation-free form
+    u* = 2*calI*(lambda0 - 1) / (1 + sqrt(1 - 4*calI^2*(1 - lambda0/3)*(lambda0 - 1))).
+    The quoted closed form is evaluated alongside for the cross-check
+    metadata.
     """
     if lambda0 < 1.0:
         raise ValueError(f"lambda0 must be >= 1, got {lambda0}")
@@ -222,19 +225,13 @@ def crossover_point(lambda0: float, calI: float) -> CrossoverResult:
     if calI == 0.0 or lambda0 == 1.0:
         return CrossoverResult(0.0, _printed_crossover_form(lambda0, calI), math.inf, True)
 
-    def excess(u: float) -> float:
-        return deleverage_lambda(lambda0, calI, u * u) - lambda0
-
-    # Leverage exceeds lambda0 just after selling starts; bracket below the
-    # small-x estimate of the crossover, u ~ (lambda0 - 1) * calI.
-    u_lo = min(0.5 * (lambda0 - 1.0) * calI, 0.5)
-    while u_lo > 1e-300 and excess(u_lo) <= 0.0:
-        u_lo *= 0.5
-    if excess(u_lo) <= 0.0:
-        x_star = 0.0
-    else:
-        u_star = bisect_root(excess, u_lo, 1.0, xtol=1e-15)
-        x_star = u_star * u_star
+    # The discriminant is positive below the critical product; it falls to
+    # zero only at lambda0 = 3/2, calI = 1, on the boundary itself.
+    disc = 1.0 - 4.0 * calI * calI * (1.0 - lambda0 / 3.0) * (lambda0 - 1.0)
+    u_star = 2.0 * calI * (lambda0 - 1.0) / (1.0 + math.sqrt(disc))
+    # For lambda0 > 3/2 the root tends to 1 as the product tends to 3/2;
+    # an ulp below it, rounding can put u_star a few ulp above 1.
+    x_star = min(u_star * u_star, 1.0)
     printed = _printed_crossover_form(lambda0, calI)
     if math.isnan(printed):
         rel = math.inf
@@ -251,27 +248,27 @@ def crossover_point(lambda0: float, calI: float) -> CrossoverResult:
 def bankruptcy_point(lambda0: float, calI: float) -> float | None:
     """Liquidated fraction x_c where exit leverage diverges, if it exists.
 
-    With u = sqrt(x), solves lambda0 * calI * u * (1 - u^2/3) = 1 for the
-    smallest root u in (0, 1] by bisection to 1e-12 in u.  Returns None for
-    subcritical inputs (lambda0 * calI < 3/2); returns 1.0 exactly at the
-    critical product.
+    With u = sqrt(x), lambda0 * calI * u * (1 - u^2/3) = 1 is the depressed
+    cubic u^3 - 3u + 3/(lambda0*calI) = 0; its smallest positive root is the
+    trigonometric one, u_c = 2*cos((acos(-1.5/(lambda0*calI)) + 4*pi)/3).
+    Returns None for subcritical inputs (lambda0 * calI < 3/2); returns 1.0
+    exactly at the critical product.
     """
     if lambda0 <= 1.0:
         raise ValueError(f"lambda0 must be > 1, got {lambda0}")
     if calI <= 0.0:
         raise ValueError(f"calI must be positive, got {calI}")
     product = lambda0 * calI
-
-    def gap(u: float) -> float:
-        return product * u * (1.0 - u * u / 3.0) - 1.0
-
-    at_one = gap(1.0)
+    # The cubic's left side, lambda0*calI*u*(1 - u^2/3) - 1, at u = 1.
+    at_one = product * (1.0 - 1.0 / 3.0) - 1.0
     if at_one < 0.0:
         return None
     if at_one == 0.0:
         return 1.0
-    u_c = bisect_root(gap, 0.0, 1.0, xtol=1e-12)
-    return u_c * u_c
+    # at_one > 0 implies product >= 3/2, so the acos argument lies in [-1, 0).
+    u_c = 2.0 * math.cos((math.acos(-CRITICAL_PRODUCT / product) + 4.0 * math.pi) / 3.0)
+    # At a product of exactly 3/2, rounding in cos can give u_c = 1 + 1 ulp.
+    return min(u_c * u_c, 1.0)
 
 
 def critical_impact(lambda0: float) -> float:
@@ -432,9 +429,3 @@ def _write_rows(points: Sequence[TrajectoryPoint], handle: TextIO) -> None:
     writer.writerow(TRAJECTORY_COLUMNS)
     for pt in points:
         writer.writerow([repr(float(getattr(pt, col))) for col in TRAJECTORY_COLUMNS])
-
-
-def trajectory_csv_text(points: Sequence[TrajectoryPoint]) -> str:
-    buffer = io.StringIO()
-    _write_rows(points, buffer)
-    return buffer.getvalue()

@@ -178,6 +178,24 @@ def test_trajectory_roundtrip_requires_position(capsys):
     assert "roundtrip" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lambda0", "9", "--impact", "0.1", "--grid", "0"],
+        ["--lambda0", "9", "--impact", "0.1", "--grid", "1"],
+        ["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--sigma", "19%", "--V", "1e6",
+         "--grid", "1"],
+    ],
+    ids=["exit-0", "exit-1", "roundtrip-1"],
+)
+def test_trajectory_grid_below_two_exit_1(capsys, argv):
+    code, out, err = run(capsys, "trajectory", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: grid must be >= 2")
+    assert len(err.splitlines()) == 1
+
+
 def test_critical_lambda0_only(capsys):
     code, out, _ = run(capsys, "critical", "--lambda0", "9", "--format", "json")
     assert code == 0
@@ -365,6 +383,28 @@ def test_report_bad_asset_errors_in_its_row(tmp_path, capsys, body, error):
         assert asset["lambda_c"] == pytest.approx(75.0)
     else:
         assert asset["impact_vol_based"] is None and asset["lambda_c"] is None
+
+
+def test_report_csv_carries_the_error_column(tmp_path, capsys):
+    path = tmp_path / "assets.ini"
+    path.write_text(
+        "[Good]\nsigma = 0.02\nV = 1e6\nQ = 4e6\n\n"
+        "[ZeroV]\nsigma = 2%\nV = 0\nQ = 1e6\n\n"
+        "[WordV]\nsigma = 2%\nV = abc\nQ = 1e6\n\n"
+        "[NanSigma]\nsigma = nan\nV = 1e6\nQ = 1e6\n"
+    )
+    code, out, _ = run(capsys, "report", str(path), "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0])[-1] == "error"
+    errors = {row["name"]: row["error"] for row in rows}
+    assert errors == {
+        "Good": "",
+        "ZeroV": "V must be positive, got 0.0",
+        "WordV": "V: could not convert string to float: 'abc'",
+        "NanSigma": "sigma: expected a finite number, got 'nan'",
+    }
+    assert float(rows[0]["impact_vol_based"]) == pytest.approx(0.04)
 
 
 def test_report_malformed_file_exit_1(tmp_path, capsys):

@@ -211,6 +211,25 @@ def test_load_series_bad_cells(tmp_path):
         load_series(path2)
 
 
+@pytest.mark.parametrize(
+    "header, row, col, cell",
+    [
+        ("date,close,volume", "nan,1e6", "close", "nan"),
+        ("date,close,volume", "101.0,inf", "volume", "inf"),
+        ("date,close,volume,spread", "101.0,1e6,-inf", "spread", "-inf"),
+        ("date,close,volume,spread,best_quote_volume", "101.0,1e6,0.0003,NaN",
+         "best_quote_volume", "NaN"),
+    ],
+    ids=["close-nan", "volume-inf", "spread-minus-inf", "quote-volume-nan"],
+)
+def test_load_series_non_finite_cells_name_the_row(tmp_path, header, row, col, cell):
+    n_extra = header.count(",") - 2
+    first = "2024-01-01,100.0,1e6" + ",1e4" * n_extra
+    path = write_csv(tmp_path, f"{header}\n{first}\n2024-01-02,{row}\n")
+    with pytest.raises(ValueError, match=f"row 2: non-finite {col} value '{cell}'"):
+        load_series(path)
+
+
 def test_load_series_empty_file(tmp_path):
     path = write_csv(tmp_path, "")
     with pytest.raises(ValueError, match="header"):

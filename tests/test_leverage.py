@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from impactval.impact import ImpactParams
 from impactval.leverage import (
@@ -26,7 +28,6 @@ from impactval.leverage import (
     impact_adjusted_leverage_exit,
     mtm_leverage,
     small_x_expansion,
-    trajectory_csv_text,
     write_trajectory_csv,
 )
 from impactval.valuation import Position, liquidation_value
@@ -257,6 +258,187 @@ def test_bankruptcy_point_validation():
         bankruptcy_point(9.0, 0.0)
 
 
+def _bisect_root(f, lo, hi, xtol=1e-13, max_iter=200):
+    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign."""
+    f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
+    f_hi = f(hi)
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        if hi - lo < xtol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _bisected_crossover(lambda0, cal_i):
+    """Oracle for x*: bracketed bisection on the trajectory equation itself."""
+
+    def excess(u):
+        return deleverage_lambda(lambda0, cal_i, u * u) - lambda0
+
+    # Leverage exceeds lambda0 just after selling starts; bracket below the
+    # small-x estimate of the crossover, u ~ (lambda0 - 1) * calI.
+    u_lo = min(0.5 * (lambda0 - 1.0) * cal_i, 0.5)
+    while u_lo > 1e-300 and excess(u_lo) <= 0.0:
+        u_lo *= 0.5
+    if excess(u_lo) <= 0.0:
+        return 0.0
+    return _bisect_root(excess, u_lo, 1.0, xtol=1e-15) ** 2
+
+
+def _bisected_bankruptcy(lambda0, cal_i):
+    """Oracle for x_c: bisection on lambda0*calI*u*(1 - u^2/3) = 1 over (0, 1]."""
+    product = lambda0 * cal_i
+
+    def gap(u):
+        return product * u * (1.0 - u * u / 3.0) - 1.0
+
+    if gap(1.0) < 0.0:
+        return None
+    if gap(1.0) == 0.0:
+        return 1.0
+    return _bisect_root(gap, 0.0, 1.0, xtol=1e-12) ** 2
+
+
+def _quadratic_residual(lambda0, cal_i, x_star):
+    """Relative residual of calI*(1 - lambda0/3)*u^2 - u + calI*(lambda0 - 1) at u = sqrt(x*)."""
+    u = math.sqrt(x_star)
+    terms = (cal_i * (1.0 - lambda0 / 3.0) * u * u, -u, cal_i * (lambda0 - 1.0))
+    return abs(sum(terms)) / sum(abs(t) for t in terms)
+
+
+def _cubic_residual(lambda0, cal_i, x_c):
+    """Residual of u^3 - 3u + 3/(lambda0*calI) at u = sqrt(x_c); each term is at most 3."""
+    u = math.sqrt(x_c)
+    return abs(u**3 - 3.0 * u + 3.0 / (lambda0 * cal_i))
+
+
+# Where the bisection oracle is well conditioned: lambda0 well above 1 (so the
+# excess lambda(x) - lambda0 is not a tiny difference of O(lambda0) terms)
+# and products clear of the double root at lambda0 = 3/2, calI = 1.
+# Derandomized, so that every run checks the same draws.
+property_settings = settings(max_examples=300, deadline=None, derandomize=True)
+oracle_lambda0 = st.floats(1.1, 50.0)
+sub_products = st.floats(0.05, 1.49)
+sup_products = st.floats(1.51, 6.0)
+
+
+@property_settings
+@given(lambda0=oracle_lambda0, product=sub_products)
+def test_crossover_matches_bisection_oracle(lambda0, product):
+    cal_i = product / lambda0
+    x_star = crossover_point(lambda0, cal_i).x_star
+    assert x_star == pytest.approx(_bisected_crossover(lambda0, cal_i), rel=1e-8)
+    assert _quadratic_residual(lambda0, cal_i, x_star) <= 1e-12
+    assert abs(deleverage_lambda(lambda0, cal_i, x_star) / lambda0 - 1.0) <= 1e-12
+
+
+@property_settings
+@given(lambda0=oracle_lambda0, product=sup_products)
+def test_bankruptcy_point_matches_bisection_oracle(lambda0, product):
+    cal_i = product / lambda0
+    x_c = bankruptcy_point(lambda0, cal_i)
+    assert x_c == pytest.approx(_bisected_bankruptcy(lambda0, cal_i), abs=1e-12)
+    assert _cubic_residual(lambda0, cal_i, x_c) <= 1e-12
+
+
+@property_settings
+@given(
+    lambda0=st.floats(1.0, 1e3, exclude_min=True),
+    product=st.floats(1e-12, 1.5, exclude_max=True),
+)
+def test_crossover_residual_over_the_subcritical_range(lambda0, product):
+    cal_i = product / lambda0
+    assume(lambda0 * cal_i < CRITICAL_PRODUCT)
+    x_star = crossover_point(lambda0, cal_i).x_star
+    # For lambda0 > 3/2 the root tends to 1 as the product tends to 3/2, and
+    # an ulp below the boundary it rounds to 1.
+    assert 0.0 < x_star <= 1.0
+    assert _quadratic_residual(lambda0, cal_i, x_star) <= 1e-12
+
+
+@property_settings
+@given(lambda0=st.floats(1.0, 1e3, exclude_min=True), product=st.floats(1.5, 1e3))
+def test_bankruptcy_point_residual_over_the_supercritical_range(lambda0, product):
+    cal_i = product / lambda0
+    x_c = bankruptcy_point(lambda0, cal_i)
+    assume(x_c is not None)  # None where the rounded product fell below 3/2
+    assert 0.0 < x_c <= 1.0
+    assert _cubic_residual(lambda0, cal_i, x_c) <= 1e-12
+
+
+@property_settings
+@given(lambda0=oracle_lambda0, product=st.one_of(sub_products, sup_products, st.just(1.5)))
+def test_classify_matches_bisection_oracle(lambda0, product):
+    cal_i = product / lambda0
+    report = classify(lambda0, cal_i)
+    if abs(lambda0 * cal_i - CRITICAL_PRODUCT) <= 1e-12:
+        assert report.regime is Regime.CRITICAL and report.x_c == 1.0
+    elif _bisected_bankruptcy(lambda0, cal_i) is None:
+        assert report.regime is Regime.SUBCRITICAL and report.x_c is None
+        assert report.x_star == pytest.approx(_bisected_crossover(lambda0, cal_i), rel=1e-8)
+    else:
+        assert report.regime is Regime.SUPERCRITICAL and report.x_star is None
+        assert report.x_c == pytest.approx(_bisected_bankruptcy(lambda0, cal_i), abs=1e-12)
+
+
+def test_crossover_tiny_impact_is_positive():
+    # The bisection's bracket search finds no point above lambda0 here and
+    # reports 0.0.
+    x_star = crossover_point(9.0, 1e-12).x_star
+    assert x_star > 0.0
+    assert x_star == pytest.approx(6.4e-23, rel=1e-9)
+    assert _quadratic_residual(9.0, 1e-12, x_star) <= 1e-15
+
+
+def test_crossover_near_double_root():
+    # lambda0 = 3/2 and calI one ulp below 1: the discriminant is 2.2e-16,
+    # where the bisection finds no sign change.
+    lambda0, cal_i = 1.5, 0.9999999999999999
+    x_star = crossover_point(lambda0, cal_i).x_star
+    assert 0.0 < x_star < 1.0
+    assert _quadratic_residual(lambda0, cal_i, x_star) <= 1e-15
+
+
+def test_crossover_at_most_one_an_ulp_below_boundary():
+    # Rounding put u* a few ulp above 1 here; the bisection found no sign
+    # change, because lambda(1) itself rounds to a divergence.
+    for lambda0 in (65.0, 749.8683536464167):
+        cal_i = 1.4999999999999998 / lambda0
+        assert lambda0 * cal_i < CRITICAL_PRODUCT
+        x_star = crossover_point(lambda0, cal_i).x_star
+        assert 1.0 - 1e-12 < x_star <= 1.0
+        assert _quadratic_residual(lambda0, cal_i, x_star) <= 1e-15
+
+
+def test_bankruptcy_point_exactly_one_at_binary_exact_products():
+    for lambda0, cal_i in ((3.0, 0.5), (6.0, 0.25), (12.0, 0.125), (24.0, 0.0625)):
+        assert bankruptcy_point(lambda0, cal_i) == 1.0
+
+
+def test_bankruptcy_point_non_increasing_ulps_above_boundary():
+    for lambda0 in (3.0, 9.0, 24.0):
+        cal_i = CRITICAL_PRODUCT / lambda0
+        xs = []
+        for _ in range(200):
+            xs.append(bankruptcy_point(lambda0, cal_i))
+            cal_i = math.nextafter(cal_i, 1.0)
+        assert all(x <= 1.0 for x in xs)
+        assert all(later <= earlier for earlier, later in zip(xs, xs[1:]))
+
+
 def test_critical_impact():
     assert abs(critical_impact(9.0) - 1.0 / 6.0) < 1e-12
     with pytest.raises(ValueError):
@@ -418,8 +600,9 @@ def test_round_trip_validation():
 
 def test_trajectory_csv_schema_and_sentinel():
     points = deleverage_trajectory(9.0, 0.19, np.linspace(0.0, 1.0, 51))
-    text = trajectory_csv_text(points)
-    rows = list(csv.reader(io.StringIO(text)))
+    buffer = io.StringIO()
+    write_trajectory_csv(points, buffer)
+    rows = list(csv.reader(io.StringIO(buffer.getvalue())))
     assert tuple(rows[0]) == TRAJECTORY_COLUMNS
     assert len(rows) == 52
     flat = [cell for row in rows[1:] for cell in row]
