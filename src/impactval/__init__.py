@@ -16,7 +16,6 @@ from .impact import (
 from .leverage import (
     DIVERGED,
     CriticalityReport,
-    CrossoverResult,
     Regime,
     TrajectoryPoint,
     bankruptcy_point,

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--L", type=finite_float, default=0.0)
     _add_params_flags(p_value)
     add_global_flags(p_value, suppress=True)
-    p_value.set_defaults(func=cmd_value)
+    p_value.set_defaults(func=cmd_value, formats=("text", "json"))
 
     p_traj = sub.add_parser("trajectory", help="leverage trajectory CSV (exit or round trip)")
     p_traj.add_argument("--lambda0", type=finite_float)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.add_argument("--mode", choices=("exit", "roundtrip"), default="exit")
     _add_params_flags(p_traj)
     add_global_flags(p_traj, suppress=True)
-    p_traj.set_defaults(func=cmd_trajectory)
+    p_traj.set_defaults(func=cmd_trajectory, formats=("text", "csv"))
 
     p_crit = sub.add_parser("critical", help="criticality report (regime, I_c, lambda_c, x*, x_c)")
     p_crit.add_argument("--lambda0", type=finite_float)
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--L", type=finite_float, default=0.0)
     _add_params_flags(p_crit)
     add_global_flags(p_crit, suppress=True)
-    p_crit.set_defaults(func=cmd_critical)
+    p_crit.set_defaults(func=cmd_critical, formats=("text", "json"))
 
     p_bank = sub.add_parser("bankruptcy", help="bankruptcy-probability transition curve CSV")
     p_bank.add_argument("--lambda0", type=finite_float, required=True)
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bank.add_argument("--Y", type=finite_float, default=1.0)
     p_bank.add_argument("--mc-mode", choices=("at-end", "anywhere"), default="at-end")
     add_global_flags(p_bank, suppress=True)
-    p_bank.set_defaults(func=cmd_bankruptcy)
+    p_bank.set_defaults(func=cmd_bankruptcy, formats=("text", "csv"))
 
     p_rep = sub.add_parser("report", help="per-asset impact and critical-leverage table")
     p_rep.add_argument(
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="INI file, one section per asset (default: bundled fixture)",
     )
     add_global_flags(p_rep, suppress=True)
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_report, formats=("text", "json", "csv"))
 
     p_est = sub.add_parser("estimate", help="estimate impact parameters from a market CSV")
     p_est.add_argument("series", help="daily market data CSV")
@@ -450,13 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--halflife", type=int, default=63)
     p_est.add_argument("--Y", type=finite_float, default=1.0)
     add_global_flags(p_est, suppress=True)
-    p_est.set_defaults(func=cmd_estimate)
+    p_est.set_defaults(func=cmd_estimate, formats=("text", "json"))
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.format not in args.formats:
+        allowed = " or ".join(args.formats)
+        print(f"error: {args.command} --format is {allowed}, not {args.format}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

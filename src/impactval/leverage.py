@@ -32,6 +32,8 @@ from .valuation import Position, liquidation_value, remaining_liquidation_value
 DIVERGED = math.inf
 
 CRITICAL_PRODUCT = 1.5  # lambda0 * calI at the transition
+# classify reports CRITICAL within this distance of CRITICAL_PRODUCT.
+_BOUNDARY_TOL = 1e-12
 
 TRAJECTORY_COLUMNS = (
     "x",
@@ -61,22 +63,6 @@ class TrajectoryPoint:
     lambda_noimpact: float
     lambda_mtm: float
     lambda_adj: float
-
-
-@dataclass(frozen=True)
-class CrossoverResult:
-    """Crossover fraction x* where exit leverage first returns to lambda0.
-
-    ``x_star`` is the closed-form root of the trajectory equation, which is
-    authoritative.  ``x_star_printed_form`` evaluates a quoted closed-form
-    expression as printed; ``printed_form_mismatch`` records whether the two
-    disagree by more than 1e-6 relative.
-    """
-
-    x_star: float
-    x_star_printed_form: float
-    rel_disagreement: float
-    printed_form_mismatch: bool
 
 
 @dataclass(frozen=True)
@@ -185,25 +171,7 @@ def small_x_expansion(lambda0: float, calI: float, x: float) -> float:
     return lambda0 * (1.0 + (lambda0 - 1.0) * calI * math.sqrt(x))
 
 
-def _printed_crossover_form(lambda0: float, calI: float) -> float:
-    """A quoted closed-form expression for x*, evaluated literally.
-
-    Kept only as a cross-check; it does not agree with the root of the
-    trajectory equation (see CrossoverResult.printed_form_mismatch).
-    """
-    inner = 1.0 - (4.0 / 3.0) * (lambda0 - 1.0) * (3.0 - lambda0) * calI**2
-    if inner < 0.0 or calI == 0.0:
-        return math.nan
-    denom = (2.0 - lambda0 / 3.0) * calI
-    if denom == 0.0:
-        return math.nan
-    ratio = (1.0 - math.sqrt(inner)) / denom
-    if ratio < 0.0:
-        return math.nan
-    return math.sqrt(ratio)
-
-
-def crossover_point(lambda0: float, calI: float) -> CrossoverResult:
+def crossover_point(lambda0: float, calI: float) -> float:
     """Smallest x in (0, 1) where exit leverage drops back to lambda0.
 
     Subcritical inputs only (lambda0 * calI < 3/2).  With u = sqrt(x), the
@@ -211,8 +179,10 @@ def crossover_point(lambda0: float, calI: float) -> CrossoverResult:
     calI*(1 - lambda0/3)*u^2 - u + calI*(lambda0 - 1) = 0, whose smaller
     root is taken in the cancellation-free form
     u* = 2*calI*(lambda0 - 1) / (1 + sqrt(1 - 4*calI^2*(1 - lambda0/3)*(lambda0 - 1))).
-    The quoted closed form is evaluated alongside for the cross-check
-    metadata.
+    Erratum: the printed closed form for this root,
+    x* = sqrt((1 - sqrt(1 - (4/3)*(lambda0 - 1)*(3 - lambda0)*calI^2)) / ((2 - lambda0/3)*calI)),
+    misses it (by more than 1e-6 relative at lambda0 = 9, calI = 0.10); the
+    derivation's denominator is 2*(1 - lambda0/3)*calI, and the ratio is u*.
     """
     if lambda0 < 1.0:
         raise ValueError(f"lambda0 must be >= 1, got {lambda0}")
@@ -222,27 +192,13 @@ def crossover_point(lambda0: float, calI: float) -> CrossoverResult:
         raise ValueError(
             f"crossover exists only for lambda0*calI < 3/2, got {lambda0 * calI}"
         )
-    if calI == 0.0 or lambda0 == 1.0:
-        return CrossoverResult(0.0, _printed_crossover_form(lambda0, calI), math.inf, True)
-
     # The discriminant is positive below the critical product; it falls to
     # zero only at lambda0 = 3/2, calI = 1, on the boundary itself.
     disc = 1.0 - 4.0 * calI * calI * (1.0 - lambda0 / 3.0) * (lambda0 - 1.0)
     u_star = 2.0 * calI * (lambda0 - 1.0) / (1.0 + math.sqrt(disc))
     # For lambda0 > 3/2 the root tends to 1 as the product tends to 3/2;
     # an ulp below it, rounding can put u_star a few ulp above 1.
-    x_star = min(u_star * u_star, 1.0)
-    printed = _printed_crossover_form(lambda0, calI)
-    if math.isnan(printed):
-        rel = math.inf
-    else:
-        rel = abs(printed - x_star) / max(x_star, 1e-300)
-    return CrossoverResult(
-        x_star=x_star,
-        x_star_printed_form=printed,
-        rel_disagreement=rel,
-        printed_form_mismatch=not rel <= 1e-6,
-    )
+    return min(u_star * u_star, 1.0)
 
 
 def bankruptcy_point(lambda0: float, calI: float) -> float | None:
@@ -312,7 +268,7 @@ def impact_adjusted_leverage_exit(pos: Position, params: ImpactParams, sold: flo
     return remaining / denom
 
 
-def classify(lambda0: float, calI: float, boundary_tol: float = 1e-12) -> CriticalityReport:
+def classify(lambda0: float, calI: float) -> CriticalityReport:
     """Regime of a (lambda0, calI) pair with the applicable transition fractions."""
     if lambda0 <= 1.0:
         raise ValueError(f"lambda0 must be > 1, got {lambda0}")
@@ -321,10 +277,10 @@ def classify(lambda0: float, calI: float, boundary_tol: float = 1e-12) -> Critic
     product = lambda0 * calI
     i_c = critical_impact(lambda0)
     lambda_c = CRITICAL_PRODUCT / calI if calI > 0.0 else math.inf
-    if abs(product - CRITICAL_PRODUCT) <= boundary_tol:
+    if abs(product - CRITICAL_PRODUCT) <= _BOUNDARY_TOL:
         return CriticalityReport(calI, lambda0, Regime.CRITICAL, i_c, lambda_c, x_c=1.0)
     if product < CRITICAL_PRODUCT:
-        x_star = crossover_point(lambda0, calI).x_star
+        x_star = crossover_point(lambda0, calI)
         return CriticalityReport(calI, lambda0, Regime.SUBCRITICAL, i_c, lambda_c, x_star=x_star)
     return CriticalityReport(
         calI, lambda0, Regime.SUPERCRITICAL, i_c, lambda_c, x_c=bankruptcy_point(lambda0, calI)

@@ -83,6 +83,12 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        _check_noise_sigma(self.noise_sigma)
+
+
+def _check_noise_sigma(noise_sigma: float | None) -> None:
+    if noise_sigma is not None and not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -351,20 +357,19 @@ def transition_curve(
     *,
     Y: float = 1.0,
     sigma: float = 0.02,
-    V: float = 1e6,
-    p0: float = 1.0,
     bankruptcy_mode: BankruptcyMode = BankruptcyMode.AT_END,
     noise_sigma: float | None = None,
 ) -> list[TransitionPoint]:
     """Bankruptcy probability versus total impact at fixed leverage and aggressivity.
 
-    For each calI on the grid, V and sigma are held fixed and the position
-    size is solved from calI = Y * sigma * sqrt(Q/V); the horizon follows
-    from eta = Q / (V * T), rounded to a whole number of days (points whose
-    horizon rounds below one day are marked infeasible).  Each point also
-    carries the companion probability with the impact drift switched off,
-    computed on the same noise draws.  Trial i uses the same draws at every
-    point, each point the prefix its horizon needs.
+    For each calI on the grid, sigma, V = 1e6 and p0 = 1 are held fixed (V
+    and p0 scale proceeds and debt alike, so the curve does not depend on
+    them), the position size is solved from calI = Y * sigma * sqrt(Q/V)
+    and the horizon from eta = Q / (V * T), rounded to a whole number of
+    days (points whose horizon rounds below one day are infeasible).  Each
+    point also carries the companion probability with the impact drift
+    switched off, computed on the same noise draws.  Trial i uses the same
+    draws at every point, each point the prefix its horizon needs.
     """
     if len(calI_grid) == 0:
         raise ValueError("calI grid must be non-empty")
@@ -374,6 +379,8 @@ def transition_curve(
         raise ValueError(f"eta must be positive, got {eta}")
     if Y <= 0.0 or sigma <= 0.0:
         raise ValueError(f"Y and sigma must be positive, got Y={Y}, sigma={sigma}")
+    _check_noise_sigma(noise_sigma)
+    V, p0 = 1e6, 1.0
     points: list[TransitionPoint] = []
     feasible: list[tuple[int, MonteCarloConfig]] = []  # (index into points, config)
     for cal_i in calI_grid:
@@ -436,17 +443,35 @@ def transition_curve(
 _PROBIT_SPAN = 2.5631031310892007  # z(0.9) - z(0.1)
 
 
+def _probit_terms(data: "list[tuple[float, float]]", slope: float, center: float) -> tuple:
+    """Sum of squares, normal matrix (a, b; b, d) and J'r of p = Phi(slope * (x - center))."""
+    sse = a = b = d = g_slope = g_center = 0.0
+    for x, p in data:
+        z = slope * (x - center)
+        r = 0.5 * math.erfc(-z / math.sqrt(2.0)) - p
+        density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        j_slope, j_center = density * (x - center), -density * slope
+        sse += r * r
+        a += j_slope * j_slope
+        b += j_slope * j_center
+        d += j_center * j_center
+        g_slope += j_slope * r
+        g_center += j_center * r
+    return sse, a, b, d, g_slope, g_center
+
+
 def fit_transition(calIs: np.ndarray, ps: np.ndarray) -> FittedTransition:
     """Least-squares probit fit to a (calI, p_bankrupt) curve.
 
     The fitted sigmoid defines the transition center (p = 0.5 crossing) and
     width (calI span between p = 0.1 and p = 0.9) even when the sampled
-    curve itself never reaches those levels.
+    curve itself never reaches those levels.  Gauss-Newton on (slope,
+    center) halves each step until the sum of squares does not rise and
+    stops once a step moves the slope by at most 1e-10 of itself and the
+    center by at most 1e-10/slope.  Singular normal equations, no
+    convergence in 100 steps or a slope that is not positive raise
+    ValueError; a step or an all-zero curve does, and so can pure noise.
     """
-    # scipy is imported here, its only use, to keep it off the CLI's start-up.
-    from scipy.optimize import curve_fit
-    from scipy.special import erf
-
     calIs = np.asarray(calIs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     keep = ~np.isnan(ps)
@@ -454,14 +479,28 @@ def fit_transition(calIs: np.ndarray, ps: np.ndarray) -> FittedTransition:
     if len(calIs) < 3:
         raise ValueError("need at least 3 finite points to fit a transition")
 
-    def probit(x, slope, center):
-        return 0.5 * (1.0 + erf(slope * (x - center) / math.sqrt(2.0)))
-
-    center0 = float(np.interp(0.5, np.clip(ps, 1e-6, 1 - 1e-6), calIs))
-    span = max(calIs.max() - calIs.min(), 1e-6)
-    (slope, center), _ = curve_fit(
-        probit, calIs, ps, p0=[4.0 / span, center0], maxfev=20000
-    )
+    center = float(np.interp(0.5, np.clip(ps, 1e-6, 1 - 1e-6), calIs))
+    slope = 4.0 / max(float(calIs.max() - calIs.min()), 1e-6)
+    data = list(zip(calIs.tolist(), ps.tolist()))
+    terms = _probit_terms(data, slope, center)
+    for _ in range(100):
+        cost, a, b, d, g_slope, g_center = terms
+        det = a * d - b * b
+        # Singular to working precision (or nan); above the bound both steps are finite.
+        if not det > 1e-12 * a * d:
+            raise ValueError("cannot fit a transition: the normal equations are singular")
+        step_slope = (b * g_center - d * g_slope) / det
+        step_center = (b * g_slope - a * g_center) / det
+        # The halving ends at the latest when the step no longer moves either parameter.
+        while (terms := _probit_terms(data, slope + step_slope, center + step_center))[0] > cost:
+            step_slope, step_center = 0.5 * step_slope, 0.5 * step_center
+        slope, center = slope + step_slope, center + step_center
+        if abs(step_slope) <= 1e-10 * abs(slope) and abs(step_center * slope) <= 1e-10:
+            break
+    else:
+        raise ValueError("cannot fit a transition: no convergence in 100 steps")
+    if slope <= 0.0:
+        raise ValueError(f"cannot fit a transition: fitted slope {slope!r} is not positive")
     return FittedTransition(center=center, width=_PROBIT_SPAN / slope, slope=slope)
 
 

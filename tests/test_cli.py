@@ -317,6 +317,38 @@ def test_bankruptcy_bad_horizon_exit_1(flags, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.5%"])
+def test_bankruptcy_negative_noise_sigma_exit_1(value, capsys):
+    code, out, err = run(
+        capsys, "bankruptcy", "--lambda0", "9", "--eta", "10", "--trials", "10",
+        f"--noise-sigma={value}",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: noise_sigma must be finite and non-negative")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        (["value", "--Q", "1e6", "--p0", "10", "--sigma", "2%", "--V", "1e6"], "csv"),
+        (["critical", "--lambda0", "9", "--impact", "0.1"], "csv"),
+        (["estimate", "series.csv"], "csv"),
+        (["trajectory", "--lambda0", "9", "--impact", "0.1", "--grid", "3"], "json"),
+        (["bankruptcy", "--lambda0", "9", "--eta", "10", "--trials", "10"], "json"),
+    ],
+    ids=["value-csv", "critical-csv", "estimate-csv", "trajectory-json", "bankruptcy-json"],
+)
+def test_format_a_command_does_not_write_exit_2(argv, fmt, capsys):
+    for flags in (["--format", fmt, *argv], [*argv, "--format", fmt]):
+        code, out, err = run(capsys, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[0]} --format is ") and err.endswith(f", not {fmt}\n")
+        assert err.count("\n") == 1
+
+
 def test_report_bundled_fixture(capsys):
     code, out, _ = run(capsys, "report", "--format", "json")
     assert code == 0

@@ -94,6 +94,21 @@ def test_array_commands_load_numpy_when_run(tmp_path):
     assert len((tmp_path / "curve.csv").read_text().splitlines()) == 4
 
 
+def test_fit_transition_runs_without_scipy(tmp_path):
+    proc = run_fresh(
+        """
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        from impactval.montecarlo import fit_transition
+        fitted = fit_transition([0.05, 0.1, 0.15, 0.2, 0.25], [0.02, 0.2, 0.5, 0.8, 0.98])
+        assert 0.14 < fitted.center < 0.16 and fitted.width > 0.0, fitted
+        assert not [name for name in sys.modules if name.startswith("scipy.")]
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_montecarlo_names_load_on_first_access(tmp_path):
     proc = run_fresh(
         """

@@ -165,14 +165,14 @@ def test_initial_rise_is_universal():
 
 
 def test_crossover_no_impact_limit():
-    assert crossover_point(9.0, 0.0).x_star == 0.0
-    assert crossover_point(1.0, 0.1).x_star == 0.0
+    assert crossover_point(9.0, 0.0) == 0.0
+    assert crossover_point(1.0, 0.1) == 0.0
 
 
 def test_crossover_meets_trajectory_tolerance():
-    result = crossover_point(9.0, 0.10)
-    assert 0.0 < result.x_star < 1.0
-    back = deleverage_lambda(9.0, 0.10, result.x_star)
+    x_star = crossover_point(9.0, 0.10)
+    assert 0.0 < x_star < 1.0
+    back = deleverage_lambda(9.0, 0.10, x_star)
     assert abs(back - 9.0) < 1e-10 * 9.0
 
 
@@ -185,14 +185,25 @@ def test_crossover_grid_scan_oracle():
     above = lam > lambda0
     first_drop = int(np.argmax(~above[1:]))  # first grid index back at/below lambda0
     lo, hi = x[first_drop], x[first_drop + 1]
-    result = crossover_point(lambda0, cal_i)
-    assert lo <= result.x_star <= hi
+    x_star = crossover_point(lambda0, cal_i)
+    assert lo <= x_star <= hi
+
+
+def _printed_crossover_form(lambda0, cal_i, denom):
+    """The closed form printed for x*, evaluated literally with the given denominator."""
+    inner = 1.0 - (4.0 / 3.0) * (lambda0 - 1.0) * (3.0 - lambda0) * cal_i**2
+    return (1.0 - math.sqrt(inner)) / denom
 
 
 def test_crossover_reports_printed_form_mismatch():
-    result = crossover_point(9.0, 0.10)
-    assert result.printed_form_mismatch
-    assert result.rel_disagreement > 1e-6
+    lambda0, cal_i = 9.0, 0.10
+    x_star = crossover_point(lambda0, cal_i)
+    ratio = _printed_crossover_form(lambda0, cal_i, (2.0 - lambda0 / 3.0) * cal_i)
+    printed = math.sqrt(ratio) if ratio >= 0.0 else math.nan
+    assert not abs(printed - x_star) / x_star <= 1e-6
+    # With the derivation's denominator the ratio is u* = sqrt(x*).
+    u_star = _printed_crossover_form(lambda0, cal_i, 2.0 * (1.0 - lambda0 / 3.0) * cal_i)
+    assert u_star * u_star == pytest.approx(x_star, rel=1e-12)
 
 
 def test_crossover_below_one_for_random_subcritical_pairs():
@@ -200,7 +211,7 @@ def test_crossover_below_one_for_random_subcritical_pairs():
     for _ in range(60):
         lambda0 = rng.uniform(1.01, 20.0)
         cal_i = rng.uniform(1e-4, 1.0) * (CRITICAL_PRODUCT / lambda0) * 0.999
-        x_star = crossover_point(lambda0, cal_i).x_star
+        x_star = crossover_point(lambda0, cal_i)
         assert 0.0 <= x_star < 1.0
 
 
@@ -339,7 +350,7 @@ sup_products = st.floats(1.51, 6.0)
 @given(lambda0=oracle_lambda0, product=sub_products)
 def test_crossover_matches_bisection_oracle(lambda0, product):
     cal_i = product / lambda0
-    x_star = crossover_point(lambda0, cal_i).x_star
+    x_star = crossover_point(lambda0, cal_i)
     assert x_star == pytest.approx(_bisected_crossover(lambda0, cal_i), rel=1e-8)
     assert _quadratic_residual(lambda0, cal_i, x_star) <= 1e-12
     assert abs(deleverage_lambda(lambda0, cal_i, x_star) / lambda0 - 1.0) <= 1e-12
@@ -362,7 +373,7 @@ def test_bankruptcy_point_matches_bisection_oracle(lambda0, product):
 def test_crossover_residual_over_the_subcritical_range(lambda0, product):
     cal_i = product / lambda0
     assume(lambda0 * cal_i < CRITICAL_PRODUCT)
-    x_star = crossover_point(lambda0, cal_i).x_star
+    x_star = crossover_point(lambda0, cal_i)
     # For lambda0 > 3/2 the root tends to 1 as the product tends to 3/2, and
     # an ulp below the boundary it rounds to 1.
     assert 0.0 < x_star <= 1.0
@@ -397,7 +408,7 @@ def test_classify_matches_bisection_oracle(lambda0, product):
 def test_crossover_tiny_impact_is_positive():
     # The bisection's bracket search finds no point above lambda0 here and
     # reports 0.0.
-    x_star = crossover_point(9.0, 1e-12).x_star
+    x_star = crossover_point(9.0, 1e-12)
     assert x_star > 0.0
     assert x_star == pytest.approx(6.4e-23, rel=1e-9)
     assert _quadratic_residual(9.0, 1e-12, x_star) <= 1e-15
@@ -407,7 +418,7 @@ def test_crossover_near_double_root():
     # lambda0 = 3/2 and calI one ulp below 1: the discriminant is 2.2e-16,
     # where the bisection finds no sign change.
     lambda0, cal_i = 1.5, 0.9999999999999999
-    x_star = crossover_point(lambda0, cal_i).x_star
+    x_star = crossover_point(lambda0, cal_i)
     assert 0.0 < x_star < 1.0
     assert _quadratic_residual(lambda0, cal_i, x_star) <= 1e-15
 
@@ -418,7 +429,7 @@ def test_crossover_at_most_one_an_ulp_below_boundary():
     for lambda0 in (65.0, 749.8683536464167):
         cal_i = 1.4999999999999998 / lambda0
         assert lambda0 * cal_i < CRITICAL_PRODUCT
-        x_star = crossover_point(lambda0, cal_i).x_star
+        x_star = crossover_point(lambda0, cal_i)
         assert 1.0 - 1e-12 < x_star <= 1.0
         assert _quadratic_residual(lambda0, cal_i, x_star) <= 1e-15
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from impactval import montecarlo
 from impactval.impact import ImpactParams
@@ -228,6 +230,16 @@ def test_transition_curve_validation():
             transition_curve(9.0, eta, [0.1], n_trials=10, master_seed=0)
 
 
+@pytest.mark.parametrize("noise_sigma", [-0.1, -1e-300, math.nan, math.inf])
+def test_noise_sigma_must_be_finite_and_non_negative(noise_sigma):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        make_config(9.0, 0.15, 25, noise_sigma=noise_sigma)
+    # A grid without a feasible point builds no config, and is checked too.
+    for grid in ([0.1], [0.0]):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            transition_curve(9.0, 10.0, grid, n_trials=10, master_seed=0, noise_sigma=noise_sigma)
+
+
 def test_memory_budget_checked_before_allocation():
     # calI = 0.3 at sigma = 2% and eta = 1e-9 asks for a 2.25e11-day horizon:
     # its noise-free price vector alone would take 1.8 TB.
@@ -258,6 +270,7 @@ def test_fit_transition_recovers_synthetic_probit():
     assert fitted.center == pytest.approx(center, abs=1e-8)
     assert fitted.slope == pytest.approx(slope, rel=1e-6)
     assert fitted.width == pytest.approx(2.5631031310892007 / slope, rel=1e-6)
+    assert all(type(v) is float for v in (fitted.center, fitted.width, fitted.slope))
 
 
 def test_fit_transition_skips_nan_points():
@@ -270,6 +283,98 @@ def test_fit_transition_skips_nan_points():
 def test_fit_transition_needs_three_points():
     with pytest.raises(ValueError):
         fit_transition(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "ps, reason",
+    [
+        ([0.0, 0.0, 0.0, 0.0, 0.0], "no convergence"),
+        ([0.0, 0.0, 1.0, 1.0, 1.0], "singular"),
+        ([0.0, 0.0, 0.5, 1.0, 1.0], "no convergence"),
+        ([0.9, 0.6, 0.5, 0.4, 0.1], "not positive"),
+    ],
+    ids=["all-zero", "step", "one-interior-point", "falling"],
+)
+def test_fit_transition_rejects_curves_without_a_transition(ps, reason):
+    with pytest.raises(ValueError, match=f"cannot fit a transition: .*{reason}"):
+        fit_transition(np.linspace(0.05, 0.25, 5), np.array(ps))
+
+
+def _probit(xs, slope, center):
+    from scipy.special import ndtr
+
+    return ndtr(slope * (np.asarray(xs) - center))
+
+
+def _tight_curve_fit(xs, ps):
+    """(slope, center) from scipy's curve_fit at its tightest tolerances.
+
+    Same model and start values as fit_transition; at its default
+    tolerances curve_fit stops up to 1e-5 relative short of the minimum.
+    """
+    from scipy.optimize import curve_fit
+
+    center0 = float(np.interp(0.5, np.clip(ps, 1e-6, 1 - 1e-6), xs))
+    span = max(xs.max() - xs.min(), 1e-6)
+    (slope, center), _ = curve_fit(
+        _probit, xs, ps, p0=[4.0 / span, center0],
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, maxfev=100000,
+    )
+    return slope, center
+
+
+def _sum_of_squares(xs, ps, slope, center):
+    return float(((_probit(xs, slope, center) - ps) ** 2).sum())
+
+
+# Acceptance 8's setups: eta -> (sigma, grid, trials), and the (slope, center)
+# that scipy's curve_fit gave on each curve at its default tolerances.
+ACCEPTANCE_8 = {
+    10.0: ((0.01, np.linspace(0.06, 0.30, 17), 10_000), (20.603257395469292, 0.16789851944747605)),
+    1.0: ((0.02, np.linspace(0.05, 0.45, 15), 2_500), (5.088232319847658, 0.20303075684999844)),
+    0.1: ((0.05, np.linspace(0.05, 0.60, 12), 2_500), (1.301962547943167, 0.24274131294546433)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("eta", ACCEPTANCE_8)
+def test_fit_transition_on_acceptance_curves(eta):
+    (sigma, grid, n_trials), (old_slope, old_center) = ACCEPTANCE_8[eta]
+    points = transition_curve(9.0, eta, grid, n_trials, 20260823, sigma=sigma)
+    xs = np.array([pt.calI for pt in points])
+    ps = np.array([pt.p_bankrupt for pt in points])
+    fitted = fit_transition(xs, ps)
+    slope, center = _tight_curve_fit(xs, ps)
+    assert fitted.center == pytest.approx(center, rel=1e-7)
+    assert fitted.width == pytest.approx(2.5631031310892007 / slope, rel=1e-7)
+    assert fitted.center == pytest.approx(old_center, rel=2e-5)
+    assert fitted.slope == pytest.approx(old_slope, rel=2e-5)
+    assert _sum_of_squares(xs, ps, fitted.slope, fitted.center) <= _sum_of_squares(
+        xs, ps, old_slope, old_center
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(5, 24),
+    lo=st.floats(0.0, 0.3),
+    span=st.floats(0.05, 1.0),
+    center_at=st.floats(0.2, 0.8),
+    steepness=st.floats(3.0, 40.0),
+    trials=st.sampled_from([30, 100, 500, 2000, 10000]),
+)
+def test_fit_transition_matches_tight_curve_fit(
+    seed, n_points, lo, span, center_at, steepness, trials
+):
+    xs = np.linspace(lo, lo + span, n_points)
+    truth = _probit(xs, steepness / span, lo + center_at * span)
+    ps = np.random.default_rng(seed).binomial(trials, truth) / trials
+    assume(((ps > 0.0) & (ps < 1.0)).sum() >= 3 and ps.min() < 0.2 and ps.max() > 0.8)
+    fitted = fit_transition(xs, ps)
+    slope, center = _tight_curve_fit(xs, ps)
+    assert fitted.center == pytest.approx(center, rel=1e-6)
+    assert fitted.width == pytest.approx(2.5631031310892007 / slope, rel=1e-6)
 
 
 def test_transition_csv_rows():
