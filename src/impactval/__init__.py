@@ -3,14 +3,11 @@
 from .estimation import EstimationPolicy, MarketSeries, ema, estimate_params, load_series
 from .impact import (
     ImpactParams,
-    ImpactQuote,
-    TradeDirection,
     Validity,
     ValidityReport,
     check_validity,
     expected_impact,
     impact_from_spread,
-    quote,
     volatility_from_spread,
 )
 from .leverage import (

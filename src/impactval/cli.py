@@ -16,9 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-# numpy is loaded only by the commands that compute on arrays: bankruptcy
-# imports the Monte Carlo layer when it runs, and estimate's layer imports
-# numpy inside its functions.
 from . import leverage as lev
 from .estimation import EstimationPolicy, estimate_params, load_series
 from .impact import ImpactParams, check_validity, expected_impact, impact_from_spread

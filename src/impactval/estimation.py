@@ -10,35 +10,28 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .impact import ImpactParams
 
 REQUIRED_COLUMNS = ("date", "close", "volume")
 OPTIONAL_COLUMNS = ("spread", "best_quote_volume")
 
-# numpy is imported by the functions that build arrays, so that importing
-# this module (and the CLI, which imports it) does not load numpy.
-if TYPE_CHECKING:
-    import numpy as np
-
 
 @dataclass(frozen=True)
 class MarketSeries:
-    """Daily market data, oldest first."""
+    """Daily market data, oldest first; columns are float sequences (lists or arrays)."""
 
     dates: list[date]
-    close: np.ndarray
-    volume: np.ndarray
-    spread: np.ndarray | None = None
-    best_quote_volume: np.ndarray | None = None
+    close: Sequence[float]
+    volume: Sequence[float]
+    spread: Sequence[float] | None = None
+    best_quote_volume: Sequence[float] | None = None
 
     def __post_init__(self) -> None:
-        import numpy as np
-
         n = len(self.dates)
         for name in ("close", "volume", "spread", "best_quote_volume"):
             col = getattr(self, name)
@@ -48,10 +41,9 @@ class MarketSeries:
             if self.dates[i] <= self.dates[i - 1]:
                 raise ValueError(f"dates must be strictly increasing; violation at row {i + 1}")
         for name in ("close", "volume"):
-            col = getattr(self, name)
-            bad = np.flatnonzero(col <= 0)
-            if bad.size:
-                raise ValueError(f"non-positive {name} at row {bad[0] + 1}")
+            for row, value in enumerate(getattr(self, name), start=1):
+                if value <= 0:
+                    raise ValueError(f"non-positive {name} at row {row}")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -85,16 +77,15 @@ def ema(values, halflife_days: float) -> float:
 
     The latest value (last element) has the largest weight; the weight of a
     value k days older decays as 2**(-k / halflife_days).  Normalizing over
-    the values actually present keeps short histories unbiased.
+    the values actually present keeps short histories unbiased.  An empty
+    series or a halflife that is not finite and positive raises ValueError.
     """
-    import numpy as np
-
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    if not 0.0 < halflife_days < math.inf:
+        raise ValueError(f"halflife_days must be finite and positive, got {halflife_days}")
+    if len(values) == 0:
         raise ValueError("cannot average an empty series")
-    lags = np.arange(values.size - 1, -1, -1, dtype=np.float64)
-    weights = np.exp2(-lags / halflife_days)
-    return float(np.dot(weights, values) / weights.sum())
+    weights = [2.0 ** (-lag / halflife_days) for lag in range(len(values) - 1, -1, -1)]
+    return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
 
 
 def estimate_params(series: MarketSeries, policy: EstimationPolicy, Y: float) -> ImpactParams:
@@ -105,8 +96,6 @@ def estimate_params(series: MarketSeries, policy: EstimationPolicy, Y: float) ->
     daily close-to-close returns, V the EMA of daily volume, and S / v
     their analogues when the optional columns are present.
     """
-    import numpy as np
-
     required = policy.window_days + policy.exclusion_days
     if len(series) < required:
         raise ValueError(
@@ -115,12 +104,12 @@ def estimate_params(series: MarketSeries, policy: EstimationPolicy, Y: float) ->
             f"got {len(series)}"
         )
     cut = len(series) - policy.exclusion_days
-    close = series.close[:cut]
     window = policy.window_days
     halflife = policy.halflife_days
 
-    returns = close[1:] / close[:-1] - 1.0
-    sigma = math.sqrt(ema(np.square(returns[-window:]), halflife))
+    close = series.close[:cut][-(window + 1):]
+    returns = [today / yesterday - 1.0 for yesterday, today in zip(close, close[1:])]
+    sigma = math.sqrt(ema([r * r for r in returns], halflife))
     volume_est = ema(series.volume[:cut][-window:], halflife)
     spread_est = None
     if series.spread is not None:
@@ -136,8 +125,6 @@ def load_series(path: str | Path) -> MarketSeries:
 
     Validation failures report the first offending data row (1-based).
     """
-    import numpy as np
-
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -171,14 +158,10 @@ def load_series(path: str | Path) -> MarketSeries:
     try:
         return MarketSeries(
             dates=dates,
-            close=np.array(numeric["close"]),
-            volume=np.array(numeric["volume"]),
-            spread=np.array(numeric["spread"]) if has_optional["spread"] else None,
-            best_quote_volume=(
-                np.array(numeric["best_quote_volume"])
-                if has_optional["best_quote_volume"]
-                else None
-            ),
+            close=numeric["close"],
+            volume=numeric["volume"],
+            spread=numeric.get("spread"),
+            best_quote_volume=numeric.get("best_quote_volume"),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

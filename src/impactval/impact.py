@@ -34,16 +34,6 @@ class Validity(Enum):
     WARN_LARGE_PARTICIPATION = "WARN_LARGE_PARTICIPATION"
 
 
-class TradeDirection(Enum):
-    BUY = 1
-    SELL = -1
-
-    @property
-    def epsilon(self) -> int:
-        """Trade sign: +1 for a buy, -1 for a sell."""
-        return self.value
-
-
 @dataclass(frozen=True)
 class ImpactParams:
     """Liquidity/impact coefficients for one asset.
@@ -128,16 +118,6 @@ class ImpactParams:
 
 
 @dataclass(frozen=True)
-class ImpactQuote:
-    """Expected outcome of executing one trade of a given size."""
-
-    relative_impact: float
-    pre_trade_price: float
-    expected_final_price: float
-    validity: Validity
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     """Domain-of-validity flags for the square-root law. Never blocks computation."""
 
@@ -179,42 +159,20 @@ def check_validity(
     params: ImpactParams,
     Q: float,
     schedule: "LiquidationSchedule | None" = None,
-    impact_limit: float = DEFAULT_IMPACT_LIMIT,
-    participation_limit: float = DEFAULT_PARTICIPATION_LIMIT,
 ) -> ValidityReport:
     """Flag positions whose size pushes the square-root law past its domain.
 
-    Warns when the full-position impact exceeds ``impact_limit`` or when the
-    daily participation delta_q / V exceeds ``participation_limit``.
+    Warns when the full-position impact exceeds DEFAULT_IMPACT_LIMIT or when
+    the daily participation delta_q / V exceeds DEFAULT_PARTICIPATION_LIMIT.
     """
     impact = expected_impact(params, Q)
     flags: list[Validity] = []
-    if impact > impact_limit:
+    if impact > DEFAULT_IMPACT_LIMIT:
         flags.append(Validity.WARN_LARGE_IMPACT)
     participation = None
     if schedule is not None:
         participation = schedule.delta_q / params.V
-        if participation > participation_limit:
+        if participation > DEFAULT_PARTICIPATION_LIMIT:
             flags.append(Validity.WARN_LARGE_PARTICIPATION)
     return ValidityReport(impact=impact, participation=participation, flags=tuple(flags))
 
-
-def quote(
-    params: ImpactParams,
-    q: float,
-    direction: TradeDirection,
-    p0: float,
-    impact_limit: float = DEFAULT_IMPACT_LIMIT,
-) -> ImpactQuote:
-    """Expected final price for trading q shares starting from price p0."""
-    if p0 <= 0:
-        raise ValueError(f"pre-trade price must be positive, got {p0}")
-    impact = expected_impact(params, q)
-    validity = Validity.WARN_LARGE_IMPACT if impact > impact_limit else Validity.OK
-    final = p0 * (1.0 + direction.epsilon * impact)
-    return ImpactQuote(
-        relative_impact=impact,
-        pre_trade_price=p0,
-        expected_final_price=final,
-        validity=validity,
-    )

@@ -379,6 +379,8 @@ def transition_curve(
         raise ValueError(f"eta must be positive, got {eta}")
     if Y <= 0.0 or sigma <= 0.0:
         raise ValueError(f"Y and sigma must be positive, got Y={Y}, sigma={sigma}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     _check_noise_sigma(noise_sigma)
     V, p0 = 1e6, 1.0
     points: list[TransitionPoint] = []
@@ -441,6 +443,8 @@ def transition_curve(
 
 
 _PROBIT_SPAN = 2.5631031310892007  # z(0.9) - z(0.1)
+# Smallest rise of the fitted p across the sampled calI range that counts as a transition.
+_MIN_RISE = 1e-6
 
 
 def _probit_terms(data: "list[tuple[float, float]]", slope: float, center: float) -> tuple:
@@ -469,8 +473,9 @@ def fit_transition(calIs: np.ndarray, ps: np.ndarray) -> FittedTransition:
     center) halves each step until the sum of squares does not rise and
     stops once a step moves the slope by at most 1e-10 of itself and the
     center by at most 1e-10/slope.  Singular normal equations, no
-    convergence in 100 steps or a slope that is not positive raise
-    ValueError; a step or an all-zero curve does, and so can pure noise.
+    convergence in 100 steps, a slope that is not positive or a fitted p
+    that rises by less than 1e-6 across the calI range raise ValueError; a
+    step, a flat or an all-zero curve does, and so can pure noise.
     """
     calIs = np.asarray(calIs, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -501,6 +506,14 @@ def fit_transition(calIs: np.ndarray, ps: np.ndarray) -> FittedTransition:
         raise ValueError("cannot fit a transition: no convergence in 100 steps")
     if slope <= 0.0:
         raise ValueError(f"cannot fit a transition: fitted slope {slope!r} is not positive")
+    rise = 0.5 * (
+        math.erf(slope * (calIs.max() - center) / math.sqrt(2.0))
+        - math.erf(slope * (calIs.min() - center) / math.sqrt(2.0))
+    )
+    if rise < _MIN_RISE:
+        raise ValueError(
+            f"cannot fit a transition: the fitted p rises by {rise!r} across the calI range"
+        )
     return FittedTransition(center=center, width=_PROBIT_SPAN / slope, slope=slope)
 
 

@@ -65,12 +65,10 @@ def liquidation_value_discrete(pos: Position, params: ImpactParams, n_increments
         raise ValueError(f"n_increments must be >= 1, got {n_increments}")
     if pos.Q == 0:
         return 0.0
-    import numpy as np
-
+    n = n_increments
     cal_i = expected_impact(params, pos.Q)
-    # I(t*Q/N) = I(Q) * sqrt(t/N); factor the sum accordingly.
-    t = np.arange(1, n_increments + 1, dtype=np.float64)
-    mean_impact = cal_i * float(np.sqrt(t / n_increments).sum()) / n_increments
+    # I(t*Q/N) = I(Q) * sqrt(t) / sqrt(N); factor the sum accordingly.
+    mean_impact = cal_i * math.fsum(map(math.sqrt, range(1, n + 1))) / (n * math.sqrt(n))
     return pos.p0 * pos.Q * (1.0 - mean_impact)
 
 

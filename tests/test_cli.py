@@ -330,6 +330,22 @@ def test_bankruptcy_negative_noise_sigma_exit_1(value, capsys):
 
 
 @pytest.mark.parametrize(
+    "trials, grid",
+    [("0", "0:0:1"), ("-5", "0.001:0.001:1")],
+    ids=["zero-calI-grid", "infeasible-grid"],
+)
+def test_bankruptcy_trials_below_one_exit_1(trials, grid, capsys):
+    # Neither grid has a point that simulates, so only the up-front check sees --trials.
+    code, out, err = run(
+        capsys, "bankruptcy", "--lambda0", "9", "--eta", "10", "--trials", trials,
+        "--impact-grid", grid,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: n_trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize(
     "argv, fmt",
     [
         (["value", "--Q", "1e6", "--p0", "10", "--sigma", "2%", "--V", "1e6"], "csv"),

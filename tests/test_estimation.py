@@ -5,6 +5,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from impactval.estimation import (
     EstimationPolicy,
@@ -50,6 +52,12 @@ def test_ema_latest_weight_explicit_arithmetic():
 def test_ema_rejects_empty():
     with pytest.raises(ValueError):
         ema([], halflife_days=10)
+
+
+@pytest.mark.parametrize("halflife", [0, -1.0, math.nan, math.inf])
+def test_ema_rejects_halflife_not_finite_and_positive(halflife):
+    with pytest.raises(ValueError, match="halflife_days must be finite and positive"):
+        ema([1.0, 2.0], halflife)
 
 
 def test_policy_validation():
@@ -234,3 +242,60 @@ def test_load_series_empty_file(tmp_path):
     path = write_csv(tmp_path, "")
     with pytest.raises(ValueError, match="header"):
         load_series(path)
+
+
+def numpy_ema(values, halflife_days):
+    """The array formulation of :func:`ema`: exp2 weights, a dot product and a sum."""
+    values = np.asarray(values, dtype=np.float64)
+    lags = np.arange(values.size - 1, -1, -1, dtype=np.float64)
+    weights = np.exp2(-lags / halflife_days)
+    return float(np.dot(weights, values) / weights.sum())
+
+
+def numpy_estimate(close, volume, spread, policy):
+    """The array formulation of :func:`estimate_params`: (sigma, V, S)."""
+    cut = len(close) - policy.exclusion_days
+    window, halflife = policy.window_days, policy.halflife_days
+    close = np.asarray(close[:cut], dtype=np.float64)
+    returns = close[1:] / close[:-1] - 1.0
+    sigma = math.sqrt(numpy_ema(np.square(returns[-window:]), halflife))
+    return (
+        sigma,
+        numpy_ema(np.asarray(volume[:cut])[-window:], halflife),
+        numpy_ema(np.asarray(spread[:cut])[-window:], halflife),
+    )
+
+
+# The rewrite sums in another order (exactly rounded fsum against a dot
+# product), so its results may differ from the array formulas in the last bits.
+EQUIVALENCE = 1e-12
+positive = st.floats(1e-6, 1e9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(positive, min_size=1, max_size=400), halflife=st.floats(0.1, 1e4))
+def test_ema_matches_array_formula(values, halflife):
+    assert ema(values, halflife) == pytest.approx(numpy_ema(values, halflife), rel=EQUIVALENCE)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    window=st.integers(1, 150),
+    exclusion_share=st.floats(0.0, 1.0, exclude_max=True),
+    halflife=st.integers(1, 200),
+    extra=st.integers(0, 30),
+    data=st.data(),
+)
+def test_estimate_params_matches_array_formula(window, exclusion_share, halflife, extra, data):
+    assume(window + extra >= 2)  # one close gives no return, and both formulas raise
+    policy = EstimationPolicy(window, int(exclusion_share * window), halflife)
+    n = window + policy.exclusion_days + extra
+    column = st.lists(st.floats(0.5, 2e3), min_size=n, max_size=n)
+    close, volume, spread = data.draw(column), data.draw(column), data.draw(column)
+    expected = numpy_estimate(close, volume, spread, policy)
+    for kind in (list, np.array):
+        series = MarketSeries(
+            dates=trading_days(n), close=kind(close), volume=kind(volume), spread=kind(spread)
+        )
+        params = estimate_params(series, policy, Y=1.0)
+        assert (params.sigma, params.V, params.S) == pytest.approx(expected, rel=EQUIVALENCE)

@@ -7,12 +7,10 @@ import pytest
 
 from impactval.impact import (
     ImpactParams,
-    TradeDirection,
     Validity,
     check_validity,
     expected_impact,
     impact_from_spread,
-    quote,
     volatility_from_spread,
 )
 from impactval.montecarlo import LiquidationSchedule
@@ -205,29 +203,3 @@ def test_params_config_ignores_comments_and_blanks():
     assert params.sigma == 0.02
     assert params.V == 1e6
 
-
-def test_quote_directions():
-    params = ImpactParams(Y=1.0, sigma=0.02, V=1e6)
-    buy = quote(params, 9e6, TradeDirection.BUY, p0=100.0)
-    sell = quote(params, 9e6, TradeDirection.SELL, p0=100.0)
-    assert buy.relative_impact == pytest.approx(0.06)
-    assert buy.expected_final_price == pytest.approx(106.0)
-    assert sell.expected_final_price == pytest.approx(94.0)
-    assert buy.validity is Validity.OK
-
-
-def test_quote_flags_large_trades():
-    params = ImpactParams(Y=1.0, sigma=0.25, V=1e6)
-    q = quote(params, 1e6, TradeDirection.SELL, p0=50.0)
-    assert q.validity is Validity.WARN_LARGE_IMPACT
-
-
-def test_quote_rejects_bad_price():
-    params = ImpactParams(Y=1.0, sigma=0.02, V=1e6)
-    with pytest.raises(ValueError):
-        quote(params, 1.0, TradeDirection.BUY, p0=0.0)
-
-
-def test_trade_direction_signs():
-    assert TradeDirection.BUY.epsilon == 1
-    assert TradeDirection.SELL.epsilon == -1

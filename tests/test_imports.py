@@ -1,12 +1,12 @@
-"""Start-up contract: only the commands that compute on arrays load numpy.
+"""Start-up contract: only the Monte Carlo layer loads numpy.
 
 Checks on ``sys.modules`` run in a fresh interpreter, because this test
 process has numpy loaded already.
 """
 
+import ast
 import csv
 import io
-import json
 import os
 import random
 import subprocess
@@ -41,7 +41,34 @@ NUMPY_FREE_COMMANDS = {
     "trajectory-exit": ["trajectory", "--lambda0", "9", "--impact", "0.15", "--grid", "101"],
     "trajectory-roundtrip": ["trajectory", "--mode", "roundtrip", "--Q", "1e6", "--p0", "10",
                              "--E0", "1.1e6", "--sigma", "19%", "--V", "1e6", "--grid", "101"],
+    "estimate": ["estimate", "series.csv", "--format", "json"],
 }
+
+
+def write_series(directory: Path) -> None:
+    """A 196-day market CSV, long enough for the default estimation policy."""
+    lines = ["date,close,volume"]
+    for day in range(1, 29):
+        for month in range(1, 8):
+            lines.append(f"2024-{month:02d}-{day:02d},{100 + (day * month) % 7},1e6")
+    lines[1:] = sorted(lines[1:])
+    (directory / "series.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_only_montecarlo_imports_numpy():
+    package = Path(impactval.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                importers.add(path.name)
+    assert importers == {"montecarlo.py"}
 
 
 def test_import_cli_does_not_load_numpy(tmp_path):
@@ -58,6 +85,7 @@ def test_import_cli_does_not_load_numpy(tmp_path):
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS.values(), ids=NUMPY_FREE_COMMANDS.keys())
 def test_closed_form_commands_do_not_load_numpy(argv, tmp_path):
+    write_series(tmp_path)
     proc = run_fresh(
         f"""
         import sys
@@ -72,17 +100,10 @@ def test_closed_form_commands_do_not_load_numpy(argv, tmp_path):
 
 
 def test_array_commands_load_numpy_when_run(tmp_path):
-    lines = ["date,close,volume"]
-    for day in range(1, 29):
-        for month in range(1, 8):
-            lines.append(f"2024-{month:02d}-{day:02d},{100 + (day * month) % 7},1e6")
-    lines[1:] = sorted(lines[1:])
-    (tmp_path / "series.csv").write_text("\n".join(lines) + "\n")
     proc = run_fresh(
         """
         import sys
         from impactval.cli import main
-        assert main(["estimate", "series.csv", "--format", "json", "--out", "params.json"]) == 0
         assert main(["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid",
                      "0.1:0.2:3", "--trials", "50", "--out", "curve.csv"]) == 0
         assert "numpy" in sys.modules
@@ -90,7 +111,6 @@ def test_array_commands_load_numpy_when_run(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads((tmp_path / "params.json").read_text())["V"] == pytest.approx(1e6)
     assert len((tmp_path / "curve.csv").read_text().splitlines()) == 4
 
 

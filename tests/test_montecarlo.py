@@ -228,6 +228,11 @@ def test_transition_curve_validation():
     for eta in (0.0, -1.0):
         with pytest.raises(ValueError):
             transition_curve(9.0, eta, [0.1], n_trials=10, master_seed=0)
+    # Checked before the grid, also when no point would simulate.
+    for grid in ([0.1], [0.0], [0.001]):
+        for n_trials in (0, -5):
+            with pytest.raises(ValueError, match="n_trials must be >= 1"):
+                transition_curve(9.0, 10.0, grid, n_trials=n_trials, master_seed=0)
 
 
 @pytest.mark.parametrize("noise_sigma", [-0.1, -1e-300, math.nan, math.inf])
@@ -292,8 +297,9 @@ def test_fit_transition_needs_three_points():
         ([0.0, 0.0, 1.0, 1.0, 1.0], "singular"),
         ([0.0, 0.0, 0.5, 1.0, 1.0], "no convergence"),
         ([0.9, 0.6, 0.5, 0.4, 0.1], "not positive"),
+        ([0.5, 0.5, 0.5, 0.5, 0.5], "rises by"),
     ],
-    ids=["all-zero", "step", "one-interior-point", "falling"],
+    ids=["all-zero", "step", "one-interior-point", "falling", "flat"],
 )
 def test_fit_transition_rejects_curves_without_a_transition(ps, reason):
     with pytest.raises(ValueError, match=f"cannot fit a transition: .*{reason}"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from impactval.impact import ImpactParams, expected_impact
@@ -91,6 +93,27 @@ def test_discrete_rejects_zero_increments():
 def test_discrete_empty_position():
     params = ImpactParams(Y=1.0, sigma=0.02, V=1.0)
     assert liquidation_value_discrete(Position(Q=0.0, p0=1.0), params, 10) == 0.0
+
+
+def numpy_liquidation_value_discrete(pos, params, n_increments):
+    """The array formulation of :func:`liquidation_value_discrete`: sum of sqrt(t/N)."""
+    cal_i = expected_impact(params, pos.Q)
+    t = np.arange(1, n_increments + 1, dtype=np.float64)
+    mean_impact = cal_i * float(np.sqrt(t / n_increments).sum()) / n_increments
+    return pos.p0 * pos.Q * (1.0 - mean_impact)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 10**4, 10**6])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(Q=st.floats(1e-3, 1e12), p0=st.floats(1e-3, 1e5), cal_i=st.floats(0.0, 0.9))
+def test_discrete_matches_array_formula(n, Q, p0, cal_i):
+    # fsum of sqrt(t) / (N sqrt(N)) against a pairwise sum of sqrt(t/N): the
+    # last bits may differ, and 1 - mean impact >= 0.1 keeps that relative.
+    pos = Position(Q=Q, p0=p0)
+    params = params_with_impact(Q, cal_i)
+    assert liquidation_value_discrete(pos, params, n) == pytest.approx(
+        numpy_liquidation_value_discrete(pos, params, n), rel=1e-12
+    )
 
 
 def test_discrete_gap_monotone_in_increments():
