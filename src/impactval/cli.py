@@ -14,6 +14,7 @@ import importlib.resources
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import leverage as lev
@@ -73,6 +74,15 @@ def _add_params_flags(parser) -> None:
     parser.add_argument("--v", type=finite_float, default=None, help="volume at best quotes")
     parser.add_argument("--b", type=finite_float, default=None, help="spread-volatility coefficient")
     parser.add_argument("--phi", type=finite_float, default=None, help="transactions per day")
+
+
+def _leverage_and_impact(args) -> tuple[float, float]:
+    """(lambda0, calI) of the position given by --Q, --p0, --L and the impact parameters."""
+    params = _params_from_args(args)
+    lambda0 = lev.mtm_leverage(args.Q, args.p0, args.L)
+    if math.isinf(lambda0):
+        raise ValueError("position has non-positive equity; leverage is undefined")
+    return lambda0, expected_impact(params, args.Q)
 
 
 def _write_text(args, text: str) -> None:
@@ -153,11 +163,7 @@ def cmd_trajectory(args) -> int:
         if args.lambda0 is not None and args.impact is not None:
             lambda0, cal_i = args.lambda0, args.impact
         elif args.Q is not None and args.p0 is not None:
-            params = _params_from_args(args)
-            lambda0 = lev.mtm_leverage(args.Q, args.p0, args.L)
-            if math.isinf(lambda0):
-                raise ValueError("position has non-positive equity; leverage is undefined")
-            cal_i = expected_impact(params, args.Q)
+            lambda0, cal_i = _leverage_and_impact(args)
         else:
             raise ValueError("need --lambda0 and --impact, or a full position with parameters")
         points = lev.deleverage_trajectory(lambda0, cal_i, lev.linspace(0.0, 1.0, args.grid))
@@ -170,11 +176,7 @@ def cmd_critical(args) -> int:
         lambda0 = args.lambda0
         cal_i = args.impact
     elif args.Q is not None and args.p0 is not None:
-        params = _params_from_args(args)
-        lambda0 = lev.mtm_leverage(args.Q, args.p0, args.L)
-        if math.isinf(lambda0):
-            raise ValueError("position has non-positive equity; leverage is undefined")
-        cal_i = expected_impact(params, args.Q)
+        lambda0, cal_i = _leverage_and_impact(args)
     else:
         raise ValueError("need --lambda0, or a full position with parameters")
 
@@ -452,17 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a library warning as one stderr line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.format not in args.formats:
         allowed = " or ".join(args.formats)
         print(f"error: {args.command} --format is {allowed}, not {args.format}", file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -40,9 +40,12 @@ class MarketSeries:
         for i in range(1, n):
             if self.dates[i] <= self.dates[i - 1]:
                 raise ValueError(f"dates must be strictly increasing; violation at row {i + 1}")
-        for name in ("close", "volume"):
-            for row, value in enumerate(getattr(self, name), start=1):
-                if value <= 0:
+        for name in ("close", "volume", "spread", "best_quote_volume"):
+            col = getattr(self, name)
+            for row, value in enumerate(() if col is None else col, start=1):
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite {name} at row {row}")
+                if value <= 0 and name in ("close", "volume"):
                     raise ValueError(f"non-positive {name} at row {row}")
 
     def __len__(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -34,16 +34,6 @@ DIVERGED = math.inf
 CRITICAL_PRODUCT = 1.5  # lambda0 * calI at the transition
 # classify reports CRITICAL within this distance of CRITICAL_PRODUCT.
 _BOUNDARY_TOL = 1e-12
-
-TRAJECTORY_COLUMNS = (
-    "x",
-    "q_held",
-    "marginal_price",
-    "cash",
-    "lambda_noimpact",
-    "lambda_mtm",
-    "lambda_adj",
-)
 
 
 class Regime(Enum):
@@ -63,6 +53,9 @@ class TrajectoryPoint:
     lambda_noimpact: float
     lambda_mtm: float
     lambda_adj: float
+
+
+TRAJECTORY_COLUMNS = tuple(field.name for field in fields(TrajectoryPoint))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .impact import ImpactParams, expected_impact
+from .impact import ImpactParams
 from .valuation import Position
 
 
@@ -49,12 +49,10 @@ class LiquidationSchedule:
     V: float
 
     def __post_init__(self) -> None:
-        if self.Q <= 0.0:
-            raise ValueError(f"Q must be positive, got {self.Q}")
-        if self.delta_q <= 0.0:
-            raise ValueError(f"delta_q must be positive, got {self.delta_q}")
-        if self.V <= 0.0:
-            raise ValueError(f"V must be positive, got {self.V}")
+        for name in ("Q", "delta_q", "V"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def T(self) -> float:
@@ -84,6 +82,11 @@ class MonteCarloConfig:
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         _check_noise_sigma(self.noise_sigma)
+        schedule = self.schedule  # repeats position.Q and params.V, which must agree
+        if schedule.Q != self.position.Q:
+            raise ValueError(f"schedule Q={schedule.Q} differs from position Q={self.position.Q}")
+        if schedule.V != self.params.V:
+            raise ValueError(f"schedule V={schedule.V} differs from params V={self.params.V}")
 
 
 def _check_noise_sigma(noise_sigma: float | None) -> None:
@@ -101,11 +104,10 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class PricePath:
-    """One simulated liquidation: daily prices and proceeds for a single trial."""
+    """One simulated liquidation: daily prices and total proceeds for a single trial."""
 
     prices: np.ndarray  # length T+1, prices[0] = p0
-    proceeds: np.ndarray  # length T, delta_q * prices[1:]
-    total_proceeds: float
+    total_proceeds: float  # delta_q * sum(prices[1:])
     negative_steps: int
 
 
@@ -147,54 +149,47 @@ def _n_days(schedule: LiquidationSchedule) -> int:
     return n
 
 
-def _deterministic_prices(config: MonteCarloConfig, n_days: int) -> np.ndarray:
-    """Noise-free daily prices p0 * (1 - I(s(t))) for t = 1..T."""
-    p0 = config.position.p0
-    sold = np.arange(1, n_days + 1, dtype=np.float64) * config.schedule.delta_q
-    params = config.params
-    impact = params.Y * params.sigma * np.sqrt(sold / params.V)
-    return p0 * (1.0 - impact)
-
-
-def _noise_scale(config: MonteCarloConfig) -> float:
-    return config.params.sigma if config.noise_sigma is None else config.noise_sigma
-
-
-def simulate_price_path(config: MonteCarloConfig, trial_index: int) -> PricePath:
-    """Price path and proceeds for one trial, deterministic given (seed, index)."""
-    n_days = _n_days(config.schedule)
-    p0 = config.position.p0
-    det = _deterministic_prices(config, n_days)
-    scale = _noise_scale(config)
-    if scale > 0.0:
-        noise = trial_rng(config.master_seed, trial_index).standard_normal(n_days)
-        daily = det + p0 * scale * np.cumsum(noise)
-    else:
-        daily = det
-    prices = np.concatenate(([p0], daily))
-    proceeds = config.schedule.delta_q * daily
-    return PricePath(
-        prices=prices,
-        proceeds=proceeds,
-        total_proceeds=float(proceeds.sum()),
-        negative_steps=int((prices < 0).sum()),
-    )
+def _noise_scale(sigma: float, noise_sigma: float | None) -> float:
+    """Daily noise level: the asset's volatility unless noise_sigma overrides it."""
+    return sigma if noise_sigma is None else noise_sigma
 
 
 @dataclass(frozen=True)
 class _Liquidation:
     """One liquidation as the kernel tests it: noise-free prices, schedule and debt."""
 
-    det: np.ndarray  # noise-free daily prices for t = 1..T
+    det: np.ndarray  # noise-free daily prices p0 * (1 - I(s(t))) for t = 1..T
     q_rem: np.ndarray  # shares still held after each day
     delta_q: float
     L: float
 
 
-def _liquidation(config: MonteCarloConfig, n_days: int) -> _Liquidation:
-    dq = config.schedule.delta_q
-    q_rem = np.maximum(config.position.Q - np.arange(1, n_days + 1) * dq, 0.0)
-    return _Liquidation(_deterministic_prices(config, n_days), q_rem, dq, config.position.L)
+def _liquidation(
+    position: Position, params: ImpactParams, delta_q: float, n_days: int
+) -> _Liquidation:
+    """Sell delta_q shares a day for n_days: the noise-free path and the holdings."""
+    sold = np.arange(1, n_days + 1, dtype=np.float64) * delta_q
+    impact = params.Y * params.sigma * np.sqrt(sold / params.V)
+    det = position.p0 * (1.0 - impact)
+    return _Liquidation(det, np.maximum(position.Q - sold, 0.0), delta_q, position.L)
+
+
+def simulate_price_path(config: MonteCarloConfig, trial_index: int) -> PricePath:
+    """Price path and proceeds for one trial, deterministic given (seed, index)."""
+    n_days = _n_days(config.schedule)
+    p0 = config.position.p0
+    liq = _liquidation(config.position, config.params, config.schedule.delta_q, n_days)
+    scale = _noise_scale(config.params.sigma, config.noise_sigma)
+    daily = liq.det
+    if scale > 0.0:
+        noise = trial_rng(config.master_seed, trial_index).standard_normal(n_days)
+        daily = daily + p0 * scale * np.cumsum(noise)
+    prices = np.concatenate(([p0], daily))
+    return PricePath(
+        prices=prices,
+        total_proceeds=float((liq.delta_q * daily).sum()),
+        negative_steps=int((prices < 0).sum()),
+    )
 
 
 @dataclass
@@ -330,13 +325,10 @@ def bankruptcy_probability(config: MonteCarloConfig) -> MonteCarloResult:
     """
     n_days = _n_days(config.schedule)
     _check_memory([n_days], config.n_trials)
+    liq = _liquidation(config.position, config.params, config.schedule.delta_q, n_days)
+    scale = _noise_scale(config.params.sigma, config.noise_sigma)
     (tally,) = _simulate(
-        [_liquidation(config, n_days)],
-        config.bankruptcy_mode,
-        config.position.p0,
-        _noise_scale(config),
-        config.n_trials,
-        config.master_seed,
+        [liq], config.bankruptcy_mode, config.position.p0, scale, config.n_trials, config.master_seed
     )
     _warn_negative(tally, config.n_trials * n_days)
     p = tally.bankrupt / config.n_trials
@@ -373,72 +365,56 @@ def transition_curve(
     """
     if len(calI_grid) == 0:
         raise ValueError("calI grid must be non-empty")
-    if lambda0 <= 1.0:
-        raise ValueError(f"lambda0 must be > 1, got {lambda0}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if Y <= 0.0 or sigma <= 0.0:
-        raise ValueError(f"Y and sigma must be positive, got Y={Y}, sigma={sigma}")
+    if not 1.0 < lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be > 1 and finite, got {lambda0}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not (0.0 < Y < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError(f"Y and sigma must be positive and finite, got Y={Y}, sigma={sigma}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     _check_noise_sigma(noise_sigma)
-    V, p0 = 1e6, 1.0
-    points: list[TransitionPoint] = []
-    feasible: list[tuple[int, MonteCarloConfig]] = []  # (index into points, config)
+    horizons = []  # whole days per point; 0 at calI = 0 and where the horizon rounds to 0
     for cal_i in calI_grid:
-        if cal_i < 0.0:
-            raise ValueError(f"calI must be non-negative, got {cal_i}")
+        if not 0.0 <= cal_i < math.inf:
+            raise ValueError(f"calI must be non-negative and finite, got {cal_i}")
+        horizons.append(round((cal_i / (Y * sigma)) ** 2 / eta) if cal_i > 0.0 else 0)
+    feasible = [(cal_i, n) for cal_i, n in zip(calI_grid, horizons) if n >= 1]
+    tallies = []
+    if feasible:
+        _check_memory([n for _, n in feasible], n_trials)
+        V, p0 = 1e6, 1.0
+        params = ImpactParams(Y=Y, sigma=sigma, V=V)
+        liquidations = []
+        for cal_i, n_days in feasible:
+            Q = (cal_i / (Y * sigma)) ** 2 * V
+            position = Position(Q=Q, p0=p0, L=Q * p0 * (1.0 - 1.0 / lambda0))
+            liquidations.append(_liquidation(position, params, Q / n_days, n_days))
+        scale = _noise_scale(sigma, noise_sigma)
+        tallies = _simulate(
+            liquidations, bankruptcy_mode, p0, scale, n_trials, master_seed, noimpact=True
+        )
+    tallies = iter(tallies)
+    points = []
+    for cal_i, n_days in zip(calI_grid, horizons):
+        cal_i = float(cal_i)
         if cal_i == 0.0:
-            points.append(TransitionPoint(0.0, 0.0, 0.0, 0.0))
-            continue
-        q_over_v = (cal_i / (Y * sigma)) ** 2
-        n_days = round(q_over_v / eta)
-        if n_days < 1:
-            points.append(
-                TransitionPoint(float(cal_i), math.nan, math.nan, math.nan, feasible=False)
+            point = TransitionPoint(0.0, 0.0, 0.0, 0.0)
+        elif n_days < 1:
+            point = TransitionPoint(cal_i, math.nan, math.nan, math.nan, feasible=False)
+        else:
+            tally = next(tallies)
+            _warn_negative(tally, n_trials * n_days, f"calI={cal_i!r}: ")
+            p = tally.bankrupt / n_trials
+            point = TransitionPoint(
+                cal_i,
+                p,
+                std_error=math.sqrt(p * (1.0 - p) / n_trials),
+                p_bankrupt_noimpact=tally.bankrupt_noimpact / n_trials,
+                n_days=n_days,
+                negative_price_trials=tally.negative_trials,
             )
-            continue
-        Q = q_over_v * V
-        L = Q * p0 * (1.0 - 1.0 / lambda0)
-        config = MonteCarloConfig(
-            position=Position(Q=Q, p0=p0, L=L),
-            params=ImpactParams(Y=Y, sigma=sigma, V=V),
-            schedule=LiquidationSchedule(Q=Q, delta_q=Q / n_days, V=V),
-            n_trials=n_trials,
-            master_seed=master_seed,
-            bankruptcy_mode=bankruptcy_mode,
-            noise_sigma=noise_sigma,
-        )
-        feasible.append((len(points), config))
-        # Probabilities are filled in from the kernel's counts below.
-        points.append(
-            TransitionPoint(float(cal_i), math.nan, math.nan, math.nan, n_days=n_days)
-        )
-    if not feasible:
-        return points
-    horizons = [points[k].n_days for k, _ in feasible]
-    _check_memory(horizons, n_trials)
-    noise_scale = sigma if noise_sigma is None else noise_sigma
-    tallies = _simulate(
-        [_liquidation(config, n) for (_, config), n in zip(feasible, horizons)],
-        bankruptcy_mode,
-        p0,
-        noise_scale,
-        n_trials,
-        master_seed,
-        noimpact=True,
-    )
-    for (k, _), tally in zip(feasible, tallies):
-        pt = points[k]
-        _warn_negative(tally, n_trials * pt.n_days, f"calI={pt.calI!r}: ")
-        p = tally.bankrupt / n_trials
-        points[k] = replace(
-            pt,
-            p_bankrupt=p,
-            std_error=math.sqrt(p * (1.0 - p) / n_trials),
-            p_bankrupt_noimpact=tally.bankrupt_noimpact / n_trials,
-            negative_price_trials=tally.negative_trials,
-        )
+        points.append(point)
     return points
 
 
@@ -519,9 +495,5 @@ def fit_transition(calIs: np.ndarray, ps: np.ndarray) -> FittedTransition:
 
 def transition_csv_rows(points: "list[TransitionPoint]") -> list[list[str]]:
     """CSV payload: calI, p_bankrupt, std_error, p_bankrupt_noimpact (nan = infeasible)."""
-    rows = [["calI", "p_bankrupt", "std_error", "p_bankrupt_noimpact"]]
-    for pt in points:
-        rows.append(
-            [repr(pt.calI), repr(pt.p_bankrupt), repr(pt.std_error), repr(pt.p_bankrupt_noimpact)]
-        )
-    return rows
+    header = ["calI", "p_bankrupt", "std_error", "p_bankrupt_noimpact"]
+    return [header] + [[repr(getattr(pt, name)) for name in header] for pt in points]

@@ -538,3 +538,33 @@ def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+
+@pytest.mark.parametrize(
+    "argv, warning",
+    [
+        (
+            ["bankruptcy", "--lambda0", "9", "--eta", "1", "--trials", "300", "--seed", "3",
+             "--mc-mode", "anywhere", "--impact-grid", "0.1:0.3:5"],
+            "calI=0.3: 173/67500 simulated prices were negative; "
+            "the Gaussian noise model is being stretched",
+        ),
+        (
+            ["value", "--Q", "1e6", "--p0", "1", "--sigma", "2%", "--V", "1e6", "--S", "0.1%",
+             "--b", "1.5"],
+            "b=1.5 lies outside the typical range (0.6, 0.9)",
+        ),
+    ],
+    ids=["bankruptcy", "value"],
+)
+def test_warnings_print_as_one_line(argv, warning, capsys):
+    import warnings
+
+    shown = warnings.showwarning
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == f"warning: {warning}\n"
+    assert out.splitlines()[0] in ("calI,p_bankrupt,std_error,p_bankrupt_noimpact",
+                                   "mark-to-market value:   1e+06")
+    assert warnings.showwarning is shown

@@ -159,6 +159,26 @@ def test_series_validation():
         )
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("column", ["close", "volume", "spread", "best_quote_volume"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_rejects_non_finite_values(as_array, column, bad):
+    columns = {name: [1.0, 2.0, 3.0] for name in ("close", "volume", "spread", "best_quote_volume")}
+    columns[column][1] = bad
+    if as_array:
+        columns = {name: np.array(values) for name, values in columns.items()}
+    with pytest.raises(ValueError, match=f"^non-finite {column} at row 2$"):
+        MarketSeries(dates=trading_days(3), **columns)
+
+
+def test_series_reports_the_first_bad_value():
+    # The nan close at row 2 is reported, not the inf volume at row 3.
+    with pytest.raises(ValueError, match="^non-finite close at row 2$"):
+        MarketSeries(trading_days(3), close=[1.0, math.nan, 2.0], volume=[1.0, 1.0, math.inf])
+    with pytest.raises(ValueError, match="^non-positive volume at row 3$"):
+        MarketSeries(trading_days(3), close=[1.0, 2.0, 3.0], volume=[1.0, 1.0, 0.0])
+
+
 def write_csv(tmp_path, text, name="series.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")

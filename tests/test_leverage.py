@@ -615,6 +615,9 @@ def test_trajectory_csv_schema_and_sentinel():
     write_trajectory_csv(points, buffer)
     rows = list(csv.reader(io.StringIO(buffer.getvalue())))
     assert tuple(rows[0]) == TRAJECTORY_COLUMNS
+    assert TRAJECTORY_COLUMNS == (
+        "x", "q_held", "marginal_price", "cash", "lambda_noimpact", "lambda_mtm", "lambda_adj"
+    )
     assert len(rows) == 52
     flat = [cell for row in rows[1:] for cell in row]
     assert "inf" in flat

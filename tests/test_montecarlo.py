@@ -60,11 +60,30 @@ def test_schedule_validation():
         LiquidationSchedule(Q=1.0, delta_q=0.0, V=1.0)
     with pytest.raises(ValueError):
         LiquidationSchedule(Q=1.0, delta_q=1.0, V=0.0)
+    for name in ("Q", "delta_q", "V"):
+        for bad in (math.nan, math.inf, -math.inf):
+            values = {"Q": 1.0, "delta_q": 1.0, "V": 1.0, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                LiquidationSchedule(**values)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         make_config(9.0, 0.15, 10, n_trials=0)
+
+
+def test_config_rejects_disagreeing_copies_of_q_and_v():
+    config = make_config(9.0, 0.15, 10)
+    Q, V = config.position.Q, config.params.V
+    for schedule, match in (
+        (LiquidationSchedule(Q=Q / 2, delta_q=Q / 20, V=V), "schedule Q="),
+        (LiquidationSchedule(Q=Q, delta_q=Q / 10, V=V * 50), "schedule V="),
+    ):
+        with pytest.raises(ValueError, match=match):
+            MonteCarloConfig(
+                position=config.position, params=config.params, schedule=schedule,
+                n_trials=10, master_seed=0,
+            )
 
 
 def test_fractional_day_schedule_rejected():
@@ -228,6 +247,18 @@ def test_transition_curve_validation():
     for eta in (0.0, -1.0):
         with pytest.raises(ValueError):
             transition_curve(9.0, eta, [0.1], n_trials=10, master_seed=0)
+    # Non-finite inputs are refused with the domain message, before any simulation.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^lambda0 must be > 1"):
+            transition_curve(bad, 10.0, [0.1], n_trials=10, master_seed=0)
+        with pytest.raises(ValueError, match="^eta must be positive"):
+            transition_curve(9.0, bad, [0.1], n_trials=10, master_seed=0)
+        for kwargs in ({"sigma": bad}, {"Y": bad}):
+            with pytest.raises(ValueError, match="^Y and sigma must be positive"):
+                transition_curve(9.0, 10.0, [0.1], n_trials=10, master_seed=0, **kwargs)
+        for grid in ([bad], [0.0, 0.2, bad], np.array([0.2, bad])):
+            with pytest.raises(ValueError, match="^calI must be non-negative"):
+                transition_curve(9.0, 10.0, grid, n_trials=10, master_seed=0)
     # Checked before the grid, also when no point would simulate.
     for grid in ([0.1], [0.0], [0.001]):
         for n_trials in (0, -5):
@@ -456,6 +487,36 @@ def test_transition_curve_matches_per_trial_oracle(mode, noise_sigma):
         assert pt.p_bankrupt == bankrupt / n_trials
         assert pt.p_bankrupt_noimpact == bankrupt_noimpact / n_trials
         assert pt.negative_price_trials == negative
+
+
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("mode", list(BankruptcyMode))
+@pytest.mark.parametrize("noise_sigma", [None, 0.0, 0.4])
+def test_transition_curve_matches_bankruptcy_probability(mode, noise_sigma):
+    lambda0, eta, sigma, n_trials, seed = 9.0, 10.0, 0.01, 400, 2027
+    grid = [0.0, 0.02, 0.08, 0.15, 0.1667, 0.2, 0.26]
+    points = transition_curve(
+        lambda0, eta, grid, n_trials=n_trials, master_seed=seed, sigma=sigma,
+        bankruptcy_mode=mode, noise_sigma=noise_sigma,
+    )
+    feasible = [pt for pt in points if pt.feasible and pt.calI > 0.0]
+    assert len(feasible) == 5
+    for pt in feasible:
+        V = 1e6
+        Q = (pt.calI / sigma) ** 2 * V
+        config = MonteCarloConfig(
+            position=Position(Q=Q, p0=1.0, L=Q * (1.0 - 1.0 / lambda0)),
+            params=ImpactParams(Y=1.0, sigma=sigma, V=V),
+            schedule=LiquidationSchedule(Q=Q, delta_q=Q / pt.n_days, V=V),
+            n_trials=n_trials,
+            master_seed=seed,
+            bankruptcy_mode=mode,
+            noise_sigma=noise_sigma,
+        )
+        result = bankruptcy_probability(config)
+        assert result.p_bankrupt == pt.p_bankrupt
+        assert result.std_error == pt.std_error
+        assert result.negative_price_trials == pt.negative_price_trials
 
 
 # Captured from the per-point implementation this kernel replaced: bankrupt
