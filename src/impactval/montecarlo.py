@@ -20,6 +20,7 @@ uses the prefix its own horizon needs.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +54,8 @@ class LiquidationSchedule:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.T == math.inf:
+            raise ValueError(f"T = Q / delta_q must be finite, got Q={self.Q}, delta_q={self.delta_q}")
 
     @property
     def T(self) -> float:
@@ -202,19 +205,79 @@ class _Tally:
     negative_steps: int = 0
 
 
-def _bankrupt_mask(mode: BankruptcyMode, liq: _Liquidation, daily: np.ndarray) -> np.ndarray:
-    """Bankruptcy test over a (trials, days) price matrix.
+def _path_bankrupt(liq: _Liquidation, daily: np.ndarray) -> np.ndarray:
+    """Path-wise bankruptcy test over a (trials, days) price matrix.
 
-    AT_END compares total proceeds with the debt; ANYWHERE_ON_PATH also
-    probes each day's proceeds-so-far plus the remaining position at that
-    day's price.
+    A trial is bankrupt when, on some day, the proceeds so far plus the
+    remaining position at that day's price fall short of the debt.
     """
-    if mode is BankruptcyMode.AT_END:
-        return liq.delta_q * daily.sum(axis=1) < liq.L
     running = np.cumsum(daily, axis=1)
     running *= liq.delta_q
     running += liq.q_rem * daily
     return (running < liq.L).any(axis=1)
+
+
+def _end_bankrupt(liq: _Liquidation, daily: np.ndarray) -> np.ndarray:
+    """AT_END bankruptcy test over a (trials, days) price matrix: proceeds below the debt."""
+    return liq.delta_q * daily.sum(axis=1) < liq.L
+
+
+# 2**-52, twice the unit roundoff of a float64.
+_EPS = 2.0**-52
+# Safety factor of the AT_END decision margin over the rounding error it covers (>= 4).
+_MARGIN_FACTOR = 4.0
+
+
+@dataclass(frozen=True)
+class _EndTotal:
+    """What decides a liquidation's AT_END test from a running sum of its noise."""
+
+    threshold: float  # L / delta_q
+    det_sum: float  # fsum of the noise-free daily prices
+    det_abs: float  # sum of their magnitudes
+
+
+def _end_total(det: np.ndarray, liq: _Liquidation) -> "_EndTotal | None":
+    """The noise-free terms of the AT_END test, or None where it must run directly.
+
+    A threshold or debt below the normal range, or an infinite threshold, is
+    not rounded to a relative error, and fsum fails on a sum that overflows;
+    such a liquidation is always tested directly.
+    """
+    threshold = liq.L / liq.delta_q
+    if not (sys.float_info.min <= threshold < math.inf and liq.L >= sys.float_info.min):
+        return None
+    try:
+        det_sum = math.fsum(memoryview(det))  # floats one at a time, not a list of them
+    except OverflowError:
+        return None
+    return _EndTotal(threshold, det_sum, float(np.abs(det).sum()))
+
+
+def _count_from_total(
+    end: "_EndTotal | None", prefix: "np.ndarray | None", mag: "np.ndarray | None", n_days: int
+) -> "int | None":
+    """AT_END bankrupt count of one batch from its running noise sums.
+
+    prefix holds each trial's running sums of its walk offsets and mag a
+    bound on the trial's |offset|.  The direct test rounds each det + offset
+    and sums the row; this total sums the offsets and det apart.  Each sum
+    is off from the exact one by at most about (n_days + 1) * eps/2 *
+    (sum |det| + n_days * mag) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2), and comparing delta_q * total with L
+    rather than total with L / delta_q moves the threshold by about
+    eps * |L / delta_q|.  A trial farther from the threshold than
+    _MARGIN_FACTOR times the sum of these is decided alike by both; if any
+    trial is not, None asks for the direct test.
+    """
+    if end is None:
+        return None
+    total = prefix[:, n_days - 1] + end.det_sum
+    margin = _MARGIN_FACTOR * (n_days + 4) * _EPS * (end.det_abs + n_days * mag + end.threshold)
+    # Written so that a nan total or margin counts as undecided.
+    if not (np.abs(total - end.threshold) > margin).all():
+        return None
+    return int(np.count_nonzero(total < end.threshold))
 
 
 # Trials per vectorized batch; bounds the noise matrix to a few megabytes.
@@ -222,9 +285,12 @@ _BATCH = 512
 
 # Largest working set a simulation may ask for, checked before any array is built.
 _MEMORY_BUDGET_BYTES = 1 << 30
-# Float arrays of (batch, horizon) alive at once in _simulate: the walk, the
-# point's prices, and in the path-wise test with the no-impact companion the
-# no-impact prices, the running proceeds and one product.
+# Float arrays of (batch, horizon) alive at once in _simulate.  The path-wise
+# test holds the walk, the point's prices, the no-impact prices, the running
+# proceeds and one product.  AT_END holds the walk, its prefix sums, the
+# point's prices and the no-impact prices (both only where the direct test or
+# the negative-price count needs them), or, while the next batch is drawn,
+# the previous walk, prefix sums and prices beside the new noise matrix.
 _BATCH_ARRAYS = 5
 
 
@@ -232,14 +298,15 @@ def _check_memory(horizons: "list[int]", n_trials: int) -> None:
     """Refuse a simulation whose arrays would not fit in the memory budget.
 
     Each liquidation keeps two float vectors of its horizon (noise-free
-    prices and shares held); the batch loop holds _BATCH_ARRAYS float
+    prices and shares held), and one trial's normals are drawn into a vector
+    of the longest horizon; the batch loop holds _BATCH_ARRAYS float
     matrices of (trials per batch, longest horizon).
     """
     horizon = max(horizons)
-    needed = 8 * (2 * sum(horizons) + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon)
+    needed = 8 * (2 * sum(horizons) + horizon + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon)
     if needed > _MEMORY_BUDGET_BYTES:
         raise ValueError(
-            f"a {horizon}-day horizon needs {needed / 2**30:.3g} GiB of memory, "
+            f"a {horizon:.3g}-day horizon needs {needed / 2**30:.3g} GiB of memory, "
             f"over the {_MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
         )
 
@@ -262,7 +329,7 @@ def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float
         for i in range(count):
             counter[2] = start + i
             bitgen.state = state
-            gen.standard_normal(horizon, out=noise[i])
+            noise[i] = gen.standard_normal(horizon)
         np.cumsum(noise, axis=1, out=noise)
         noise *= step
         yield noise
@@ -285,6 +352,12 @@ def _simulate(
     equals a shorter draw from it, so each count is what drawing per point
     would give.  With noimpact, each trial is also tested with the impact
     drift switched off (prices p0 plus the same noise).
+
+    AT_END takes one prefix sum of the walk per batch and decides each
+    trial from its running total where the total is clear of the threshold
+    by more than any rounding could move it (_count_from_total); if any
+    trial of the batch is not, the batch runs the direct test.  Either way
+    each count is the direct test's count.
     """
     horizon = max(len(liq.det) for liq in liquidations)
     if noise_scale > 0.0:
@@ -293,17 +366,45 @@ def _simulate(
     else:
         # The noise-free path: one row that stands for every trial.
         batches = [(n_trials, np.zeros((1, horizon)))]
+    at_end = mode is BankruptcyMode.AT_END
+    test = _end_bankrupt if at_end else _path_bankrupt
+    # AT_END: the noise-free terms of each point's total, with impact and without.
+    ends = [
+        (
+            _end_total(liq.det, liq) if at_end else None,
+            _end_total(np.full(len(liq.det), p0), liq) if at_end and noimpact else None,
+        )
+        for liq in liquidations
+    ]
+    lowest_det = [float(liq.det.min()) for liq in liquidations]
     tallies = [_Tally() for _ in liquidations]
     for weight, walk in batches:
-        for liq, tally in zip(liquidations, tallies):
-            offset = walk[:, : len(liq.det)]
-            daily = liq.det + offset
-            tally.bankrupt += weight * int(_bankrupt_mask(mode, liq, daily).sum())
-            negative = (daily < 0).sum(axis=1)
-            tally.negative_trials += weight * int((negative > 0).sum())
-            tally.negative_steps += weight * int(negative.sum())
+        row_min = walk.min(axis=1)
+        lowest = float(row_min.min())
+        prefix = mag = None
+        if at_end:
+            prefix = np.cumsum(walk, axis=1)
+            mag = np.maximum(walk.max(axis=1), -row_min)
+        for liq, (end, end_noimpact), det_min, tally in zip(liquidations, ends, lowest_det, tallies):
+            n_days = len(liq.det)
+            offset = walk[:, :n_days]
+            # Rounding is monotone, so no price is below this sum rounded.
+            may_be_negative = lowest + det_min <= 0.0
+            bankrupt = _count_from_total(end, prefix, mag, n_days)
+            if bankrupt is None or may_be_negative:
+                daily = liq.det + offset
+            if bankrupt is None:
+                bankrupt = int(test(liq, daily).sum())
+            tally.bankrupt += weight * bankrupt
+            if may_be_negative:
+                negative = (daily < 0).sum(axis=1)
+                tally.negative_trials += weight * int((negative > 0).sum())
+                tally.negative_steps += weight * int(negative.sum())
             if noimpact:
-                tally.bankrupt_noimpact += weight * int(_bankrupt_mask(mode, liq, p0 + offset).sum())
+                bankrupt = _count_from_total(end_noimpact, prefix, mag, n_days)
+                if bankrupt is None:
+                    bankrupt = int(test(liq, p0 + offset).sum())
+                tally.bankrupt_noimpact += weight * bankrupt
     return tallies
 
 
@@ -371,6 +472,8 @@ def transition_curve(
         raise ValueError(f"eta must be positive and finite, got {eta}")
     if not (0.0 < Y < math.inf and 0.0 < sigma < math.inf):
         raise ValueError(f"Y and sigma must be positive and finite, got Y={Y}, sigma={sigma}")
+    if not 0.0 < Y * sigma < math.inf:
+        raise ValueError(f"Y * sigma must be positive and finite, got Y={Y}, sigma={sigma}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     _check_noise_sigma(noise_sigma)
@@ -378,7 +481,12 @@ def transition_curve(
     for cal_i in calI_grid:
         if not 0.0 <= cal_i < math.inf:
             raise ValueError(f"calI must be non-negative and finite, got {cal_i}")
-        horizons.append(round((cal_i / (Y * sigma)) ** 2 / eta) if cal_i > 0.0 else 0)
+        try:  # the power, or round() of an infinite horizon
+            horizons.append(round((cal_i / (Y * sigma)) ** 2 / eta) if cal_i > 0.0 else 0)
+        except OverflowError:
+            raise ValueError(
+                f"calI={cal_i!r} needs an infinite horizon at Y={Y}, sigma={sigma}, eta={eta}"
+            ) from None
     feasible = [(cal_i, n) for cal_i, n in zip(calI_grid, horizons) if n >= 1]
     tallies = []
     if feasible:

@@ -308,6 +308,11 @@ def test_bankruptcy_bad_grid_exit_2(capsys):
         (["--eta", "1e-9", "--trials", "10"], "GiB"),
         (["--eta", "0"], "eta must be positive"),
         (["--eta", "10", "--sigma", "0"], "sigma must be positive"),
+        # Finite inputs whose horizon overflows, or whose Y * sigma underflows.
+        (["--eta", "10", "--impact-grid", "1e200:1e200:1"], "calI=1e+200 needs an infinite horizon"),
+        (["--eta", "10", "--sigma", "1e-200", "--Y", "1e-200"], "Y * sigma must be positive"),
+        # The horizon is printed to three digits, not as a 303-digit integer.
+        (["--eta", "1e-300", "--trials", "10"], "error: a 2.25e+302-day horizon needs"),
     ],
 )
 def test_bankruptcy_bad_horizon_exit_1(flags, message, capsys):
@@ -315,6 +320,7 @@ def test_bankruptcy_bad_horizon_exit_1(flags, message, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["-1", "-0.5%"])

@@ -65,6 +65,9 @@ def test_schedule_validation():
             values = {"Q": 1.0, "delta_q": 1.0, "V": 1.0, name: bad}
             with pytest.raises(ValueError, match=f"^{name} must be positive"):
                 LiquidationSchedule(**values)
+    # Finite inputs whose T overflows.
+    with pytest.raises(ValueError, match="^T = Q / delta_q must be finite"):
+        LiquidationSchedule(Q=1e300, delta_q=1e-300, V=1.0)
 
 
 def test_config_validation():
@@ -259,6 +262,15 @@ def test_transition_curve_validation():
         for grid in ([bad], [0.0, 0.2, bad], np.array([0.2, bad])):
             with pytest.raises(ValueError, match="^calI must be non-negative"):
                 transition_curve(9.0, 10.0, grid, n_trials=10, master_seed=0)
+    # Finite inputs whose horizon overflows, or whose Y * sigma underflows.
+    for grid in ([1e200], [0.1, 1e200], [1.0]):
+        with pytest.raises(ValueError, match="needs an infinite horizon"):
+            eta = 1e-320 if grid == [1.0] else 10.0
+            transition_curve(9.0, eta, grid, n_trials=10, master_seed=0)
+    with pytest.raises(ValueError, match="^Y \\* sigma must be positive"):
+        transition_curve(9.0, 10.0, [0.1], n_trials=10, master_seed=0, Y=1e-200, sigma=1e-200)
+    with pytest.raises(ValueError, match="^a 2\\.5e\\+301-day horizon needs"):
+        transition_curve(9.0, 1e-300, [0.1], n_trials=10, master_seed=0, sigma=0.02)
     # Checked before the grid, also when no point would simulate.
     for grid in ([0.1], [0.0], [0.001]):
         for n_trials in (0, -5):
@@ -279,7 +291,7 @@ def test_noise_sigma_must_be_finite_and_non_negative(noise_sigma):
 def test_memory_budget_checked_before_allocation():
     # calI = 0.3 at sigma = 2% and eta = 1e-9 asks for a 2.25e11-day horizon:
     # its noise-free price vector alone would take 1.8 TB.
-    with pytest.raises(ValueError, match=r"225000000000-day horizon needs [0-9.e+]+ GiB"):
+    with pytest.raises(ValueError, match=r"^a 2\.25e\+11-day horizon needs [0-9.e+]+ GiB"):
         transition_curve(9.0, 1e-9, [0.3], 10, 1)
     with pytest.raises(ValueError, match="GiB"):
         bankruptcy_probability(make_config(9.0, 0.3, 10**10, n_trials=10))
@@ -573,3 +585,90 @@ def test_transition_curve_negative_price_warning(noise_sigma, grid):
     if noise_sigma == 0.0:
         # The one noise-free path stands for every trial.
         assert [pt.negative_price_trials for pt in points] == [50]
+
+
+def _drift_free(config):
+    """The same liquidation with the impact drift switched off: prices p0 plus noise."""
+    params = ImpactParams(Y=0.0, sigma=config.params.sigma, V=config.params.V)
+    return MonteCarloConfig(
+        position=config.position, params=params, schedule=config.schedule,
+        n_trials=config.n_trials, master_seed=config.master_seed,
+    )
+
+
+@pytest.mark.parametrize("drift", ["impact", "no impact"])
+def test_at_end_debt_on_a_trial_sum(drift):
+    # A debt equal to a trial's own proceeds, or one ulp either side, puts the
+    # running total inside the rounding margin: the kernel must fall back on
+    # the direct test and count exactly what the per-trial paths give.
+    n_days, n_trials = 30, 40
+    base = make_config(9.0, 0.15, n_days, n_trials=n_trials, master_seed=77)
+    dq = base.schedule.delta_q
+    paths = {
+        "impact": [simulate_price_path(base, i).prices[1:] for i in range(n_trials)],
+        "no impact": [simulate_price_path(_drift_free(base), i).prices[1:] for i in range(n_trials)],
+    }
+    for k in (0, 3, 11, 25, 39):
+        proceeds = dq * paths[drift][k].sum()
+        for L in (np.nextafter(proceeds, -np.inf), proceeds, np.nextafter(proceeds, np.inf)):
+            position = Position(Q=base.position.Q, p0=1.0, L=float(L))
+            liq = montecarlo._liquidation(position, base.params, dq, n_days)
+            (tally,) = montecarlo._simulate(
+                [liq], BankruptcyMode.AT_END, 1.0, base.params.sigma, n_trials, 77, noimpact=True
+            )
+            expected = {name: sum(dq * daily.sum() < L for daily in rows) for name, rows in paths.items()}
+            assert tally.bankrupt == expected["impact"]
+            assert tally.bankrupt_noimpact == expected["no impact"]
+
+
+def _parent_bankrupt(mode, liq, daily):
+    """The direct bankruptcy test of the per-point loop, for either mode."""
+    if mode is BankruptcyMode.AT_END:
+        return liq.delta_q * daily.sum(axis=1) < liq.L
+    running = np.cumsum(daily, axis=1) * liq.delta_q + liq.q_rem * daily
+    return (running < liq.L).any(axis=1)
+
+
+def _parent_counts(liquidations, mode, p0, step, n_trials, seed):
+    """Reference: every point adds, sums and scans its own slice of each trial's walk."""
+    horizon = max(len(liq.det) for liq in liquidations)
+    counts = [[0, 0, 0] for _ in liquidations]
+    for start in range(0, n_trials, _BATCH):
+        trials = range(start, min(start + _BATCH, n_trials))
+        walk = np.array([np.cumsum(trial_rng(seed, i).standard_normal(horizon)) for i in trials])
+        walk *= step
+        for liq, count in zip(liquidations, counts):
+            offset = walk[:, : len(liq.det)]
+            daily = liq.det + offset
+            count[0] += int(_parent_bankrupt(mode, liq, daily).sum())
+            count[1] += int(_parent_bankrupt(mode, liq, p0 + offset).sum())
+            count[2] += int(((daily < 0).sum(axis=1) > 0).sum())
+    return counts
+
+
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("mode", list(BankruptcyMode))
+@pytest.mark.parametrize("noise_sigma", [None, 0.4])
+def test_transition_curve_matches_per_point_loop(mode, noise_sigma):
+    lambda0, eta, sigma, V, n_trials, seed = 9.0, 10.0, 0.01, 1e6, 600, 4242
+    grid = np.linspace(0.0, 0.32, 65)
+    points = transition_curve(
+        lambda0, eta, grid, n_trials=n_trials, master_seed=seed, sigma=sigma,
+        bankruptcy_mode=mode, noise_sigma=noise_sigma,
+    )
+    feasible = [pt for pt in points if pt.feasible and pt.calI > 0.0]
+    assert len(feasible) == 60  # 0.005 to 0.02 round below one day
+    params = ImpactParams(Y=1.0, sigma=sigma, V=V)
+    liquidations = []
+    for pt in feasible:
+        Q = (pt.calI / sigma) ** 2 * V
+        position = Position(Q=Q, p0=1.0, L=Q * (1.0 - 1.0 / lambda0))
+        liquidations.append(montecarlo._liquidation(position, params, Q / pt.n_days, pt.n_days))
+    step = sigma if noise_sigma is None else noise_sigma
+    counts = _parent_counts(liquidations, mode, 1.0, step, n_trials, seed)
+    for pt, (bankrupt, bankrupt_noimpact, negative) in zip(feasible, counts):
+        assert pt.p_bankrupt == bankrupt / n_trials
+        assert pt.p_bankrupt_noimpact == bankrupt_noimpact / n_trials
+        assert pt.negative_price_trials == negative
+    if noise_sigma is not None:
+        assert sum(pt.negative_price_trials for pt in feasible) > 0
