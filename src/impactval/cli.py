@@ -48,6 +48,12 @@ def parse_grid(text: str) -> list[float]:
     count = int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {count}")
+    try:  # each point becomes a transition-curve point
+        lev.check_memory(
+            count * lev.CURVE_POINT_BYTES, f"a {count}-point grid", lev.MEMORY_BUDGET_BYTES
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return lev.linspace(start, stop, count)
 
 
@@ -152,6 +158,10 @@ def cmd_value(args) -> int:
 def cmd_trajectory(args) -> int:
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
+    points = 2 * args.grid if args.mode == "roundtrip" else args.grid
+    lev.check_memory(
+        points * lev.TRAJECTORY_POINT_BYTES, f"a {args.grid}-point grid", lev.MEMORY_BUDGET_BYTES
+    )
     if args.mode == "roundtrip":
         if args.Q is None or args.p0 is None:
             raise ValueError("roundtrip mode requires --Q and --p0 plus impact parameters")

@@ -69,6 +69,25 @@ class CriticalityReport:
     x_c: float | None = None
 
 
+# Most memory one command may ask for, checked before its grid or arrays are built.
+MEMORY_BUDGET_BYTES = 1 << 30
+# Peak bytes per grid point of the objects a command builds, measured as the
+# slope of peak RSS over 20k to 400k points (Python 3.11, 2-core Xeon VM):
+# 1.2 KB per bankruptcy curve point, 384 B per exit-trajectory point and
+# 660 B per round-trip grid value, which holds an entry and an exit point.
+CURVE_POINT_BYTES = 1280
+TRAJECTORY_POINT_BYTES = 400
+
+
+def check_memory(needed: float, what: str, budget: int) -> None:
+    """Refuse, with ValueError, work that needs more than ``budget`` bytes."""
+    if needed > budget:
+        raise ValueError(
+            f"{what} needs {needed / 2**30:.3g} GiB of memory, "
+            f"over the {budget / 2**30:.3g} GiB budget"
+        )
+
+
 def linspace(start: float, stop: float, count: int) -> list[float]:
     """``count`` evenly spaced values from start to stop, both included.
 

@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .impact import ImpactParams
+from .leverage import CURVE_POINT_BYTES, MEMORY_BUDGET_BYTES, check_memory
 from .valuation import Position
 
 
@@ -159,22 +160,42 @@ def _noise_scale(sigma: float, noise_sigma: float | None) -> float:
 
 @dataclass(frozen=True)
 class _Liquidation:
-    """One liquidation as the kernel tests it: noise-free prices, schedule and debt."""
+    """One liquidation as the kernel tests it: noise-free prices, schedule, debt, AT_END terms."""
 
     det: np.ndarray  # noise-free daily prices p0 * (1 - I(s(t))) for t = 1..T
     q_rem: np.ndarray  # shares still held after each day
     delta_q: float
     L: float
+    threshold: float  # L / delta_q, or nan (see _liquidation)
+    det_sum: float  # fsum of det, or nan (see _liquidation)
+    det_abs: float  # sum of |det|
+    det_min: float
 
 
 def _liquidation(
     position: Position, params: ImpactParams, delta_q: float, n_days: int
 ) -> _Liquidation:
-    """Sell delta_q shares a day for n_days: the noise-free path and the holdings."""
+    """Sell delta_q shares a day for n_days: noise-free path, holdings and AT_END terms.
+
+    A threshold or debt below the normal range, or an infinite threshold, is
+    not rounded to a relative error, and fsum fails on a sum that overflows;
+    such a term is nan, so the AT_END test of that liquidation always runs
+    directly (_bankrupt_count).
+    """
     sold = np.arange(1, n_days + 1, dtype=np.float64) * delta_q
     impact = params.Y * params.sigma * np.sqrt(sold / params.V)
     det = position.p0 * (1.0 - impact)
-    return _Liquidation(det, np.maximum(position.Q - sold, 0.0), delta_q, position.L)
+    L = position.L
+    threshold = L / delta_q
+    if not (sys.float_info.min <= threshold < math.inf and L >= sys.float_info.min):
+        threshold = math.nan
+    try:
+        det_sum = math.fsum(memoryview(det))  # floats one at a time, not a list of them
+    except OverflowError:
+        det_sum = math.nan
+    q_rem = np.maximum(position.Q - sold, 0.0)
+    det_abs = float(np.abs(det).sum())
+    return _Liquidation(det, q_rem, delta_q, L, threshold, det_sum, det_abs, float(det.min()))
 
 
 def simulate_price_path(config: MonteCarloConfig, trial_index: int) -> PricePath:
@@ -228,63 +249,41 @@ _EPS = 2.0**-52
 _MARGIN_FACTOR = 4.0
 
 
-@dataclass(frozen=True)
-class _EndTotal:
-    """What decides a liquidation's AT_END test from a running sum of its noise."""
+def _bankrupt_count(
+    test, liq: _Liquidation, offset: np.ndarray, running, det, det_sum: float, det_abs: float,
+    daily: "np.ndarray | None" = None,
+) -> int:
+    """Bankrupt trials of one batch whose daily prices are det + offset.
 
-    threshold: float  # L / delta_q
-    det_sum: float  # fsum of the noise-free daily prices
-    det_abs: float  # sum of their magnitudes
-
-
-def _end_total(det: np.ndarray, liq: _Liquidation) -> "_EndTotal | None":
-    """The noise-free terms of the AT_END test, or None where it must run directly.
-
-    A threshold or debt below the normal range, or an infinite threshold, is
-    not rounded to a relative error, and fsum fails on a sum that overflows;
-    such a liquidation is always tested directly.
+    daily, if given, holds det + offset already.  For AT_END, running is
+    (prefix, mag): each trial's running sums of its walk offsets and a bound
+    on the trial's |offset|; for the path-wise test it is None.  The direct
+    test rounds each det + offset and sums the row; the total here sums the
+    offsets and det apart (det_sum, det_abs: the sum of det and of |det|).
+    Each sum is off from the exact one by at most about (n_days + 1) *
+    eps/2 * (sum |det| + n_days * mag) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 4.2), and comparing delta_q * total
+    with L rather than total with L / delta_q moves the threshold by about
+    eps * |L / delta_q|.  Where every trial lies farther from the threshold
+    than _MARGIN_FACTOR times the sum of these, both decide alike and the
+    count is taken from the totals; otherwise the direct test runs.
     """
-    threshold = liq.L / liq.delta_q
-    if not (sys.float_info.min <= threshold < math.inf and liq.L >= sys.float_info.min):
-        return None
-    try:
-        det_sum = math.fsum(memoryview(det))  # floats one at a time, not a list of them
-    except OverflowError:
-        return None
-    return _EndTotal(threshold, det_sum, float(np.abs(det).sum()))
-
-
-def _count_from_total(
-    end: "_EndTotal | None", prefix: "np.ndarray | None", mag: "np.ndarray | None", n_days: int
-) -> "int | None":
-    """AT_END bankrupt count of one batch from its running noise sums.
-
-    prefix holds each trial's running sums of its walk offsets and mag a
-    bound on the trial's |offset|.  The direct test rounds each det + offset
-    and sums the row; this total sums the offsets and det apart.  Each sum
-    is off from the exact one by at most about (n_days + 1) * eps/2 *
-    (sum |det| + n_days * mag) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 4.2), and comparing delta_q * total with L
-    rather than total with L / delta_q moves the threshold by about
-    eps * |L / delta_q|.  A trial farther from the threshold than
-    _MARGIN_FACTOR times the sum of these is decided alike by both; if any
-    trial is not, None asks for the direct test.
-    """
-    if end is None:
-        return None
-    total = prefix[:, n_days - 1] + end.det_sum
-    margin = _MARGIN_FACTOR * (n_days + 4) * _EPS * (end.det_abs + n_days * mag + end.threshold)
-    # Written so that a nan total or margin counts as undecided.
-    if not (np.abs(total - end.threshold) > margin).all():
-        return None
-    return int(np.count_nonzero(total < end.threshold))
+    if running is not None:
+        prefix, mag = running
+        n_days = offset.shape[1]
+        total = prefix[:, n_days - 1] + det_sum
+        margin = _MARGIN_FACTOR * (n_days + 4) * _EPS * (det_abs + n_days * mag + liq.threshold)
+        # Written so that a nan total, threshold or margin counts as undecided.
+        if (np.abs(total - liq.threshold) > margin).all():
+            return int(np.count_nonzero(total < liq.threshold))
+    return int(test(liq, det + offset if daily is None else daily).sum())
 
 
 # Trials per vectorized batch; bounds the noise matrix to a few megabytes.
 _BATCH = 512
 
 # Largest working set a simulation may ask for, checked before any array is built.
-_MEMORY_BUDGET_BYTES = 1 << 30
+_MEMORY_BUDGET_BYTES = MEMORY_BUDGET_BYTES
 # Float arrays of (batch, horizon) alive at once in _simulate.  The path-wise
 # test holds the walk, the point's prices, the no-impact prices, the running
 # proceeds and one product.  AT_END holds the walk, its prefix sums, the
@@ -297,18 +296,17 @@ _BATCH_ARRAYS = 5
 def _check_memory(horizons: "list[int]", n_trials: int) -> None:
     """Refuse a simulation whose arrays would not fit in the memory budget.
 
-    Each liquidation keeps two float vectors of its horizon (noise-free
-    prices and shares held), and one trial's normals are drawn into a vector
-    of the longest horizon; the batch loop holds _BATCH_ARRAYS float
-    matrices of (trials per batch, longest horizon).
+    Each grid point costs CURVE_POINT_BYTES of Python objects, and each
+    liquidation keeps two float vectors of its horizon (noise-free prices
+    and shares held); one trial's normals are drawn into a vector of the
+    longest horizon, and the batch loop holds _BATCH_ARRAYS float matrices
+    of (trials per batch, longest horizon).
     """
     horizon = max(horizons)
-    needed = 8 * (2 * sum(horizons) + horizon + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon)
-    if needed > _MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"a {horizon:.3g}-day horizon needs {needed / 2**30:.3g} GiB of memory, "
-            f"over the {_MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
-        )
+    needed = CURVE_POINT_BYTES * len(horizons) + 8 * (
+        2 * sum(horizons) + horizon + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon
+    )
+    check_memory(needed, f"a {horizon:.3g}-day horizon", _MEMORY_BUDGET_BYTES)
 
 
 def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float):
@@ -355,9 +353,9 @@ def _simulate(
 
     AT_END takes one prefix sum of the walk per batch and decides each
     trial from its running total where the total is clear of the threshold
-    by more than any rounding could move it (_count_from_total); if any
-    trial of the batch is not, the batch runs the direct test.  Either way
-    each count is the direct test's count.
+    by more than any rounding could move it (_bankrupt_count); if any trial
+    of the batch is not, the batch runs the direct test.  Either way each
+    count is the direct test's count.
     """
     horizon = max(len(liq.det) for liq in liquidations)
     if noise_scale > 0.0:
@@ -368,53 +366,47 @@ def _simulate(
         batches = [(n_trials, np.zeros((1, horizon)))]
     at_end = mode is BankruptcyMode.AT_END
     test = _end_bankrupt if at_end else _path_bankrupt
-    # AT_END: the noise-free terms of each point's total, with impact and without.
-    ends = [
-        (
-            _end_total(liq.det, liq) if at_end else None,
-            _end_total(np.full(len(liq.det), p0), liq) if at_end and noimpact else None,
-        )
-        for liq in liquidations
-    ]
-    lowest_det = [float(liq.det.min()) for liq in liquidations]
     tallies = [_Tally() for _ in liquidations]
     for weight, walk in batches:
         row_min = walk.min(axis=1)
         lowest = float(row_min.min())
-        prefix = mag = None
+        running = None  # freed before the next sums are built, which measured faster
         if at_end:
-            prefix = np.cumsum(walk, axis=1)
-            mag = np.maximum(walk.max(axis=1), -row_min)
-        for liq, (end, end_noimpact), det_min, tally in zip(liquidations, ends, lowest_det, tallies):
+            running = np.cumsum(walk, axis=1), np.maximum(walk.max(axis=1), -row_min)
+        for liq, tally in zip(liquidations, tallies):
             n_days = len(liq.det)
             offset = walk[:, :n_days]
-            # Rounding is monotone, so no price is below this sum rounded.
-            may_be_negative = lowest + det_min <= 0.0
-            bankrupt = _count_from_total(end, prefix, mag, n_days)
-            if bankrupt is None or may_be_negative:
-                daily = liq.det + offset
-            if bankrupt is None:
-                bankrupt = int(test(liq, daily).sum())
-            tally.bankrupt += weight * bankrupt
-            if may_be_negative:
+            # Rounding is monotone, so no price is below this sum rounded.  (Built
+            # before the last point's prices are freed: freeing them first
+            # fragmented the heap, 13 MB more peak RSS on a 10240-day grid.)
+            daily = liq.det + offset if lowest + liq.det_min <= 0.0 else None
+            if daily is not None:
                 negative = (daily < 0).sum(axis=1)
                 tally.negative_trials += weight * int((negative > 0).sum())
                 tally.negative_steps += weight * int(negative.sum())
+            tally.bankrupt += weight * _bankrupt_count(
+                test, liq, offset, running, liq.det, liq.det_sum, liq.det_abs, daily
+            )
             if noimpact:
-                bankrupt = _count_from_total(end_noimpact, prefix, mag, n_days)
-                if bankrupt is None:
-                    bankrupt = int(test(liq, p0 + offset).sum())
-                tally.bankrupt_noimpact += weight * bankrupt
+                # n_days * p0 is the correctly rounded fsum of n_days copies of p0.
+                total = n_days * p0
+                tally.bankrupt_noimpact += weight * _bankrupt_count(
+                    test, liq, offset, running, p0, total, total
+                )
     return tallies
 
 
-def _warn_negative(tally: _Tally, total_steps: int, where: str = "") -> None:
+def _estimate(tally: _Tally, n_trials: int, n_days: int, where: str = "") -> tuple[float, float]:
+    """Bankrupt fraction and its standard error; warns when many simulated prices were negative."""
+    total_steps = n_trials * n_days
     if tally.negative_steps > 0.001 * total_steps:
         warnings.warn(
             f"{where}{tally.negative_steps}/{total_steps} simulated prices were negative; "
             "the Gaussian noise model is being stretched",
             stacklevel=3,
         )
+    p = tally.bankrupt / n_trials
+    return p, math.sqrt(p * (1.0 - p) / n_trials)
 
 
 def bankruptcy_probability(config: MonteCarloConfig) -> MonteCarloResult:
@@ -431,11 +423,10 @@ def bankruptcy_probability(config: MonteCarloConfig) -> MonteCarloResult:
     (tally,) = _simulate(
         [liq], config.bankruptcy_mode, config.position.p0, scale, config.n_trials, config.master_seed
     )
-    _warn_negative(tally, config.n_trials * n_days)
-    p = tally.bankrupt / config.n_trials
+    p, std_error = _estimate(tally, config.n_trials, n_days)
     return MonteCarloResult(
         p_bankrupt=p,
-        std_error=math.sqrt(p * (1.0 - p) / config.n_trials),
+        std_error=std_error,
         n_trials=config.n_trials,
         negative_price_trials=tally.negative_trials,
     )
@@ -477,25 +468,33 @@ def transition_curve(
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     _check_noise_sigma(noise_sigma)
+    V, p0 = 1e6, 1.0
     horizons = []  # whole days per point; 0 at calI = 0 and where the horizon rounds to 0
+    feasible = []  # (Q / V, whole days) of each point with a horizon of a day or more
     for cal_i in calI_grid:
         if not 0.0 <= cal_i < math.inf:
             raise ValueError(f"calI must be non-negative and finite, got {cal_i}")
         try:  # the power, or round() of an infinite horizon
-            horizons.append(round((cal_i / (Y * sigma)) ** 2 / eta) if cal_i > 0.0 else 0)
+            size = (cal_i / (Y * sigma)) ** 2
+            n_days = round(size / eta)
         except OverflowError:
             raise ValueError(
                 f"calI={cal_i!r} needs an infinite horizon at Y={Y}, sigma={sigma}, eta={eta}"
             ) from None
-    feasible = [(cal_i, n) for cal_i, n in zip(calI_grid, horizons) if n >= 1]
+        if n_days >= 1:
+            if size * V == math.inf:
+                raise ValueError(
+                    f"calI={cal_i!r} needs an infinite position size at Y={Y}, sigma={sigma}"
+                )
+            feasible.append((size, n_days))
+        horizons.append(n_days)
     tallies = []
     if feasible:
         _check_memory([n for _, n in feasible], n_trials)
-        V, p0 = 1e6, 1.0
         params = ImpactParams(Y=Y, sigma=sigma, V=V)
         liquidations = []
-        for cal_i, n_days in feasible:
-            Q = (cal_i / (Y * sigma)) ** 2 * V
+        for size, n_days in feasible:
+            Q = size * V
             position = Position(Q=Q, p0=p0, L=Q * p0 * (1.0 - 1.0 / lambda0))
             liquidations.append(_liquidation(position, params, Q / n_days, n_days))
         scale = _noise_scale(sigma, noise_sigma)
@@ -512,12 +511,11 @@ def transition_curve(
             point = TransitionPoint(cal_i, math.nan, math.nan, math.nan, feasible=False)
         else:
             tally = next(tallies)
-            _warn_negative(tally, n_trials * n_days, f"calI={cal_i!r}: ")
-            p = tally.bankrupt / n_trials
+            p, std_error = _estimate(tally, n_trials, n_days, f"calI={cal_i!r}: ")
             point = TransitionPoint(
                 cal_i,
                 p,
-                std_error=math.sqrt(p * (1.0 - p) / n_trials),
+                std_error=std_error,
                 p_bankrupt_noimpact=tally.bankrupt_noimpact / n_trials,
                 n_days=n_days,
                 negative_price_trials=tally.negative_trials,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from impactval import leverage as lev
 from impactval.cli import main, parse_fraction, parse_grid
 
 
@@ -50,6 +52,40 @@ def test_parse_grid():
     assert np.allclose(grid, [0.0, 0.1, 0.2, 0.3])
     with pytest.raises(Exception):
         parse_grid("0:0.3")
+
+
+def test_grid_over_the_memory_budget_refused_before_it_is_built(monkeypatch, capsys):
+    # 10**12 points would take terabytes; the count alone is refused.
+    with pytest.raises(argparse.ArgumentTypeError, match="^a 1000000000000-point grid needs"):
+        parse_grid("0:0.3:1000000000000")
+    # A 1 MiB budget holds 819 transition-curve points of 1280 bytes.
+    monkeypatch.setattr(lev, "MEMORY_BUDGET_BYTES", 2**20)
+    assert len(parse_grid("0:0.3:819")) == 819
+    with pytest.raises(SystemExit) as exc:
+        main(["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0:0.3:820"])
+    assert exc.value.code == 2
+    assert "argument --impact-grid: a 820-point grid needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode_flags, largest",
+    [
+        (["--lambda0", "9", "--impact", "0.1"], 2621),
+        # Two points, entry and exit, per grid value.
+        (["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--sigma", "19%", "--V", "1e6"], 1310),
+    ],
+    ids=["exit", "roundtrip"],
+)
+def test_trajectory_grid_over_the_memory_budget_exit_1(monkeypatch, capsys, mode_flags, largest):
+    # A 1 MiB budget holds 2621 trajectory points of 400 bytes.
+    monkeypatch.setattr(lev, "MEMORY_BUDGET_BYTES", 2**20)
+    code, out, _ = run(capsys, "trajectory", *mode_flags, "--grid", str(largest))
+    assert code == 0 and out
+    code, out, err = run(capsys, "trajectory", *mode_flags, "--grid", str(largest + 1))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: a {largest + 1}-point grid needs")
+    assert len(err.splitlines()) == 1
 
 
 def test_value_empty_position(capsys):
@@ -313,6 +349,9 @@ def test_bankruptcy_bad_grid_exit_2(capsys):
         (["--eta", "10", "--sigma", "1e-200", "--Y", "1e-200"], "Y * sigma must be positive"),
         # The horizon is printed to three digits, not as a 303-digit integer.
         (["--eta", "1e-300", "--trials", "10"], "error: a 2.25e+302-day horizon needs"),
+        # A one-day horizon whose position size overflows names calI, Y and sigma.
+        (["--eta", "1e303", "--impact-grid", "6.4e149:6.4e149:1", "--trials", "10", "--sigma", "2%"],
+         "calI=6.4e+149 needs an infinite position size at Y=1.0, sigma=0.02"),
     ],
 )
 def test_bankruptcy_bad_horizon_exit_1(flags, message, capsys):

@@ -267,6 +267,9 @@ def test_transition_curve_validation():
         with pytest.raises(ValueError, match="needs an infinite horizon"):
             eta = 1e-320 if grid == [1.0] else 10.0
             transition_curve(9.0, eta, grid, n_trials=10, master_seed=0)
+    # A one-day horizon whose position size Q = (calI / (Y * sigma))**2 * V overflows.
+    with pytest.raises(ValueError, match="^calI=6\\.4e\\+149 needs an infinite position size"):
+        transition_curve(9.0, 1e303, [6.4e149], n_trials=10, master_seed=0)
     with pytest.raises(ValueError, match="^Y \\* sigma must be positive"):
         transition_curve(9.0, 10.0, [0.1], n_trials=10, master_seed=0, Y=1e-200, sigma=1e-200)
     with pytest.raises(ValueError, match="^a 2\\.5e\\+301-day horizon needs"):
@@ -587,6 +590,17 @@ def test_transition_curve_negative_price_warning(noise_sigma, grid):
         assert [pt.negative_price_trials for pt in points] == [50]
 
 
+def test_memory_budget_charges_each_grid_point(monkeypatch):
+    # At 1 MiB, 700 one-day points fit and 900 do not: their Python objects,
+    # not their arrays, fill the budget.
+    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", 2**20)
+    _check_memory([1] * 700, 1)
+    with pytest.raises(ValueError, match="^a 1-day horizon needs"):
+        _check_memory([1] * 900, 1)
+    with pytest.raises(ValueError, match="^a 2-day horizon needs"):
+        transition_curve(9.0, 10.0, [0.1] * 900, n_trials=1, master_seed=0, sigma=0.02)
+
+
 def _drift_free(config):
     """The same liquidation with the impact drift switched off: prices p0 plus noise."""
     params = ImpactParams(Y=0.0, sigma=config.params.sigma, V=config.params.V)
@@ -619,6 +633,33 @@ def test_at_end_debt_on_a_trial_sum(drift):
             expected = {name: sum(dq * daily.sum() < L for daily in rows) for name, rows in paths.items()}
             assert tally.bankrupt == expected["impact"]
             assert tally.bankrupt_noimpact == expected["no impact"]
+
+
+@pytest.mark.parametrize(
+    "calI, L", [(0.15, 0.0), (0.15, 5e-324), (1e-153, 1e10)],
+    ids=["zero", "subnormal", "threshold overflows"],
+)
+def test_at_end_debt_outside_the_normal_range(calI, L):
+    # A debt of 0 or below the normal range, or an L / delta_q that overflows
+    # (a 4e-300 position sold over 30 days), has no relative rounding bound:
+    # the liquidation stores a nan threshold, so the kernel always runs the
+    # direct test and must count exactly what the per-trial paths give.
+    n_days, n_trials, seed = 30, 40, 78
+    base = make_config(9.0, calI, n_days, sigma=0.5, n_trials=n_trials, master_seed=seed)
+    dq = base.schedule.delta_q
+    position = Position(Q=base.position.Q, p0=1.0, L=L)
+    liq = montecarlo._liquidation(position, base.params, dq, n_days)
+    assert math.isnan(liq.threshold)
+    (tally,) = montecarlo._simulate(
+        [liq], BankruptcyMode.AT_END, 1.0, base.params.sigma, n_trials, seed, noimpact=True
+    )
+    for count, config in ((tally.bankrupt, base), (tally.bankrupt_noimpact, _drift_free(base))):
+        paths = [simulate_price_path(config, i).prices[1:] for i in range(n_trials)]
+        assert count == sum(dq * daily.sum() < L for daily in paths)
+    if L > 1.0:
+        assert tally.bankrupt == n_trials
+    else:  # the noise sends some trials' proceeds below 0 and not others
+        assert 0 < tally.bankrupt < n_trials
 
 
 def _parent_bankrupt(mode, liq, daily):
