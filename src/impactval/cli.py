@@ -8,16 +8,14 @@ Figures are emitted as plot-ready CSV rather than images; exit codes are
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
-import importlib.resources
-import json
 import math
 import sys
 import warnings
 from pathlib import Path
 
-from . import leverage as lev
+# Only what every command needs loads here; each command imports the rest
+# itself.  Library calls go through these module-level names, which the
+# benchmark's tracer patches.
 from .estimation import EstimationPolicy, estimate_params, load_series
 from .impact import ImpactParams, check_validity, expected_impact, impact_from_spread
 from .valuation import Position, average_valuation_price, liquidation_value
@@ -48,6 +46,8 @@ def parse_grid(text: str) -> list[float]:
     count = int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {count}")
+    from . import leverage as lev
+
     try:  # each point becomes a transition-curve point
         lev.check_memory(
             count * lev.CURVE_POINT_BYTES, f"a {count}-point grid", lev.MEMORY_BUDGET_BYTES
@@ -84,6 +84,8 @@ def _add_params_flags(parser) -> None:
 
 def _leverage_and_impact(args) -> tuple[float, float]:
     """(lambda0, calI) of the position given by --Q, --p0, --L and the impact parameters."""
+    from . import leverage as lev
+
     params = _params_from_args(args)
     lambda0 = lev.mtm_leverage(args.Q, args.p0, args.L)
     if math.isinf(lambda0):
@@ -111,10 +113,14 @@ def _json_safe(value):
 
 def _write_json(args, payload) -> None:
     """Write indented JSON; nan and infinities are written as null."""
+    import json
+
     _write_text(args, json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _write_rows(args, rows) -> None:
+    import csv
+
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows(rows)
@@ -156,6 +162,8 @@ def cmd_value(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    from . import leverage as lev
+
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
     points = 2 * args.grid if args.mode == "roundtrip" else args.grid
@@ -182,6 +190,8 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_critical(args) -> int:
+    from . import leverage as lev
+
     if args.lambda0 is not None:
         lambda0 = args.lambda0
         cal_i = args.impact
@@ -248,6 +258,7 @@ _REPORT_FIELDS = (
 
 def _asset_row(asset) -> dict:
     """Impacts and critical leverage of one asset section; bad values raise ValueError."""
+    from . import leverage as lev
 
     def number(key, parse=finite_float):
         raw = asset.get(key)
@@ -286,6 +297,8 @@ def _asset_row(asset) -> dict:
 
 def _report_rows(config_path: str):
     """One row per asset section; an asset with bad values carries the error in its row."""
+    import configparser
+
     config = configparser.ConfigParser(interpolation=None)
     config.optionxform = str  # V and v are distinct keys
     try:
@@ -309,6 +322,8 @@ def _report_rows(config_path: str):
 def cmd_report(args) -> int:
     path = args.assets
     if path is None:
+        import importlib.resources
+
         path = str(importlib.resources.files("impactval") / "data" / "assets.ini")
     rows = _report_rows(path)
     if args.format == "json":

@@ -8,14 +8,16 @@ liquidity shock cannot feed straight back into valuations.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .impact import ImpactParams
+
+if TYPE_CHECKING:
+    from datetime import date
 
 REQUIRED_COLUMNS = ("date", "close", "volume")
 OPTIONAL_COLUMNS = ("spread", "best_quote_volume")
@@ -128,27 +130,39 @@ def load_series(path: str | Path) -> MarketSeries:
 
     Validation failures report the first offending data row (1-based).
     """
+    import csv
+    from datetime import date
+
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, header required")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+        # A repeated column name reads its last column, as csv.DictReader does.
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in REQUIRED_COLUMNS if c not in index]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
-        has_optional = {c: c in reader.fieldnames for c in OPTIONAL_COLUMNS}
 
         dates: list[date] = []
         numeric: dict[str, list[float]] = {
-            c: [] for c in ("close", "volume", *[o for o, ok in has_optional.items() if ok])
+            c: [] for c in ("close", "volume", *[o for o in OPTIONAL_COLUMNS if o in index])
         }
-        for row_idx, row in enumerate(reader, start=1):
+        date_at = index["date"]
+        columns = [(col, index[col], numeric[col]) for col in numeric]
+        width = max(index.values()) + 1
+        # Blank lines are skipped and not counted; a short row's missing cells are None.
+        for row_idx, row in enumerate(filter(None, reader), start=1):
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            cell = row[date_at]
             try:
-                dates.append(date.fromisoformat(row["date"].strip()))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_idx}: bad date {row['date']!r}") from exc
-            for col in numeric:
-                cell = row[col]
+                dates.append(date.fromisoformat(cell.strip()))
+            except (AttributeError, ValueError) as exc:
+                raise ValueError(f"{path}: row {row_idx}: bad date {cell!r}") from exc
+            for col, at, values in columns:
+                cell = row[at]
                 try:
                     value = float(cell)
                 except (TypeError, ValueError) as exc:
@@ -157,7 +171,7 @@ def load_series(path: str | Path) -> MarketSeries:
                     ) from exc
                 if not math.isfinite(value):
                     raise ValueError(f"{path}: row {row_idx}: non-finite {col} value {cell!r}")
-                numeric[col].append(value)
+                values.append(value)
     try:
         return MarketSeries(
             dates=dates,

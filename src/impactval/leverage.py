@@ -18,7 +18,6 @@ error, so trajectories can be rendered across it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -60,6 +59,8 @@ TRAJECTORY_COLUMNS = tuple(field.name for field in fields(TrajectoryPoint))
 
 @dataclass(frozen=True)
 class CriticalityReport:
+    """Regime of (lambda0, calI), with the crossover x* or bankruptcy fraction x_c it has."""
+
     calI: float
     lambda0: float
     regime: Regime
@@ -385,15 +386,16 @@ def _ratio_or_diverged(assets: float, equity: float) -> float:
 
 def write_trajectory_csv(points: Sequence[TrajectoryPoint], dest: str | Path | TextIO) -> None:
     """Write trajectory points as CSV; divergence serializes as the string 'inf'."""
+    import csv
+
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="", encoding="utf-8") as handle:
-            _write_rows(points, handle)
+            _write_rows(points, csv.writer(handle))
     else:
-        _write_rows(points, dest)
+        _write_rows(points, csv.writer(dest))
 
 
-def _write_rows(points: Sequence[TrajectoryPoint], handle: TextIO) -> None:
-    writer = csv.writer(handle)
+def _write_rows(points: Sequence[TrajectoryPoint], writer) -> None:
     writer.writerow(TRAJECTORY_COLUMNS)
     for pt in points:
         writer.writerow([repr(float(getattr(pt, col))) for col in TRAJECTORY_COLUMNS])

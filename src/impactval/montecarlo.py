@@ -73,6 +73,8 @@ class LiquidationSchedule:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
+    """One liquidation to simulate: position, impact, schedule, trials and seed."""
+
     position: Position
     params: ImpactParams
     schedule: LiquidationSchedule
@@ -100,6 +102,8 @@ def _check_noise_sigma(noise_sigma: float | None) -> None:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """Bankruptcy probability of one configuration, with its standard error."""
+
     p_bankrupt: float
     std_error: float
     n_trials: int
@@ -117,6 +121,8 @@ class PricePath:
 
 @dataclass(frozen=True)
 class TransitionPoint:
+    """One calI of a transition curve: bankruptcy probability with and without impact."""
+
     calI: float
     p_bankrupt: float
     std_error: float
@@ -300,13 +306,14 @@ def _check_memory(horizons: "list[int]", n_trials: int) -> None:
     liquidation keeps two float vectors of its horizon (noise-free prices
     and shares held); one trial's normals are drawn into a vector of the
     longest horizon, and the batch loop holds _BATCH_ARRAYS float matrices
-    of (trials per batch, longest horizon).
+    of (trials per batch, longest horizon).  The message names the grid
+    size or the longest horizon, whichever needs more.
     """
     horizon = max(horizons)
-    needed = CURVE_POINT_BYTES * len(horizons) + 8 * (
-        2 * sum(horizons) + horizon + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon
-    )
-    check_memory(needed, f"a {horizon:.3g}-day horizon", _MEMORY_BUDGET_BYTES)
+    points = CURVE_POINT_BYTES * len(horizons)
+    arrays = 8 * (2 * sum(horizons) + horizon + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon)
+    what = f"a {len(horizons)}-point grid" if points > arrays else f"a {horizon:.3g}-day horizon"
+    check_memory(points + arrays, what, _MEMORY_BUDGET_BYTES)
 
 
 def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float):

@@ -264,6 +264,35 @@ def test_load_series_empty_file(tmp_path):
         load_series(path)
 
 
+def test_load_series_reads_rows_as_dict_reader_did(tmp_path):
+    # Blank lines are skipped and not counted, a repeated column reads its
+    # last copy, extra cells are ignored and cells are stripped by float().
+    path = write_csv(
+        tmp_path,
+        "volume,date,close,close\n\n"
+        "1e6, 2024-01-01 ,1.0,100.0,extra\n\n"
+        "2e6,2024-01-02,2.0,101.0\n",
+    )
+    series = load_series(path)
+    assert series.close == [100.0, 101.0] and series.volume == [1e6, 2e6]
+    path = write_csv(tmp_path, "date,close,volume\n\n2024-01-01,100.0,1e6\n\n2024-01-02,1,x\n")
+    with pytest.raises(ValueError, match="row 2: non-numeric volume value 'x'"):
+        load_series(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("date,close,volume\n2024-01-01,100.0\n", "row 1: non-numeric volume value None"),
+        ("close,volume,date\n100.0,1e6\n", "row 1: bad date None"),
+    ],
+    ids=["volume", "date"],
+)
+def test_load_series_short_row_names_the_missing_cell(tmp_path, text, message):
+    with pytest.raises(ValueError, match=message):
+        load_series(write_csv(tmp_path, text))
+
+
 def numpy_ema(values, halflife_days):
     """The array formulation of :func:`ema`: exp2 weights, a dot product and a sum."""
     values = np.asarray(values, dtype=np.float64)

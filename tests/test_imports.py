@@ -1,4 +1,6 @@
-"""Start-up contract: only the Monte Carlo layer loads numpy.
+"""Start-up contract: each command loads only the modules it runs.
+
+Only the Monte Carlo layer loads numpy, and package names load on first access.
 
 Checks on ``sys.modules`` run in a fresh interpreter, because this test
 process has numpy loaded already.
@@ -6,6 +8,8 @@ process has numpy loaded already.
 
 import ast
 import csv
+import importlib
+import importlib.util
 import io
 import os
 import random
@@ -99,6 +103,30 @@ def test_closed_form_commands_do_not_load_numpy(argv, tmp_path):
     assert (tmp_path / "result").stat().st_size > 0
 
 
+UNUSED_MODULES = {
+    "value": ("impactval.leverage", "csv", "configparser", "datetime"),
+    "critical": ("csv", "configparser", "datetime"),
+    "report": ("csv", "datetime"),
+    "estimate": ("impactval.leverage", "configparser"),
+}
+
+
+@pytest.mark.parametrize("command", UNUSED_MODULES)
+def test_short_commands_load_only_what_they_run(command, tmp_path):
+    write_series(tmp_path)
+    proc = run_fresh(
+        f"""
+        import sys
+        from impactval.cli import main
+        assert main({[*NUMPY_FREE_COMMANDS[command], "--out", "result"]!r}) == 0
+        loaded = [name for name in {UNUSED_MODULES[command]!r} if name in sys.modules]
+        assert not loaded, loaded
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_array_commands_load_numpy_when_run(tmp_path):
     proc = run_fresh(
         """
@@ -143,6 +171,73 @@ def test_package_montecarlo_names_load_on_first_access(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_package_loads_no_submodule(tmp_path):
+    proc = run_fresh(
+        """
+        import sys
+        import impactval
+        loaded = sorted(name for name in sys.modules if name.startswith("impactval."))
+        assert not loaded, loaded
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_cli_loads_only_what_every_command_needs(tmp_path):
+    proc = run_fresh(
+        """
+        import sys
+        import impactval.cli
+        deferred = ("configparser", "json", "csv", "datetime", "impactval.leverage",
+                    "impactval.montecarlo", "numpy")
+        loaded = [name for name in deferred if name in sys.modules]
+        assert not loaded, loaded
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_lazy_name_is_its_submodules_object():
+    assert impactval.__all__ == sorted(impactval._LAZY)
+    listed = dir(impactval)
+    for name, module_name in impactval._LAZY.items():
+        module = importlib.import_module(f"impactval.{module_name}")
+        expected = module if name == module_name else getattr(module, name)
+        assert getattr(impactval, name) is expected, name
+        assert name in listed, name
+
+
+def test_star_import_and_submodule_access_after_import_package(tmp_path):
+    proc = run_fresh(
+        """
+        import impactval
+        assert impactval.leverage.classify(9.0, 0.1).regime.value == "SUBCRITICAL"
+        namespace = {}
+        exec("from impactval import *", namespace)
+        assert set(impactval.__all__) <= set(namespace)
+        assert namespace["leverage"] is impactval.leverage
+        assert namespace["transition_curve"] is impactval.montecarlo.transition_curve
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_benchmark_patch_target_resolves(monkeypatch):
+    # The benchmark's tracer wraps these module attributes; the CLI must keep
+    # calling through them.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # @dataclass looks itself up there
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for module_name, attr, _span in tracing.PATCHES:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
 
 
 def test_package_unknown_name_raises_attribute_error():

@@ -592,13 +592,19 @@ def test_transition_curve_negative_price_warning(noise_sigma, grid):
 
 def test_memory_budget_charges_each_grid_point(monkeypatch):
     # At 1 MiB, 700 one-day points fit and 900 do not: their Python objects,
-    # not their arrays, fill the budget.
+    # not their arrays, fill the budget, so the message names the grid.
     monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", 2**20)
     _check_memory([1] * 700, 1)
-    with pytest.raises(ValueError, match="^a 1-day horizon needs"):
+    with pytest.raises(ValueError, match="^a 900-point grid needs"):
         _check_memory([1] * 900, 1)
-    with pytest.raises(ValueError, match="^a 2-day horizon needs"):
+    with pytest.raises(ValueError, match="^a 900-point grid needs"):
         transition_curve(9.0, 10.0, [0.1] * 900, n_trials=1, master_seed=0, sigma=0.02)
+    # A 100-day horizon at 512 trials a batch: its batch matrices (2 MB), not
+    # the points' objects, fill the budget, so the message names the horizon.
+    with pytest.raises(ValueError, match="^a 100-day horizon needs"):
+        _check_memory([100], 512)
+    with pytest.raises(ValueError, match="^a 100-day horizon needs"):
+        _check_memory([1] * 100 + [100], 512)
 
 
 def _drift_free(config):
