@@ -8,6 +8,7 @@ Figures are emitted as plot-ready CSV rather than images; exit codes are
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import warnings
@@ -499,5 +500,18 @@ def main(argv=None) -> int:
             return 1
 
 
+def run() -> None:
+    """Program entry: run main(), then exit without collecting what is still alive.
+
+    gc.freeze() moves every live object to the permanent generation, so the
+    interpreter's collections at shutdown no longer walk the objects numpy
+    and the command leave behind.  main() never freezes, because tests and
+    the benchmark call it in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

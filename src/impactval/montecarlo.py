@@ -20,6 +20,7 @@ uses the prefix its own horizon needs.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -87,12 +88,23 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        _check_seed(self.master_seed)
         _check_noise_sigma(self.noise_sigma)
         schedule = self.schedule  # repeats position.Q and params.V, which must agree
         if schedule.Q != self.position.Q:
             raise ValueError(f"schedule Q={schedule.Q} differs from position Q={self.position.Q}")
         if schedule.V != self.params.V:
             raise ValueError(f"schedule V={schedule.V} differs from params V={self.params.V}")
+
+
+def _check_seed(master_seed: int) -> None:
+    """The master seed keys a 128-bit Philox, even where no noise is drawn."""
+    try:
+        valid = 0 <= operator.index(master_seed) < 2**128
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"master_seed must be an integer in [0, 2**128), got {master_seed!r}")
 
 
 def _check_noise_sigma(noise_sigma: float | None) -> None:
@@ -186,7 +198,7 @@ def _liquidation(
     A threshold or debt below the normal range, or an infinite threshold, is
     not rounded to a relative error, and fsum fails on a sum that overflows;
     such a term is nan, so the AT_END test of that liquidation always runs
-    directly (_bankrupt_count).
+    directly (_end_counts).
     """
     sold = np.arange(1, n_days + 1, dtype=np.float64) * delta_q
     impact = params.Y * params.sigma * np.sqrt(sold / params.V)
@@ -255,34 +267,43 @@ _EPS = 2.0**-52
 _MARGIN_FACTOR = 4.0
 
 
-def _bankrupt_count(
-    test, liq: _Liquidation, offset: np.ndarray, running, det, det_sum: float, det_abs: float,
-    daily: "np.ndarray | None" = None,
-) -> int:
-    """Bankrupt trials of one batch whose daily prices are det + offset.
+def _end_counts(
+    run: "list[_Liquidation]", prefix: np.ndarray, mag: np.ndarray, p0: "float | None" = None
+) -> "list[int]":
+    """Bankrupt trials of one batch at each point of a run; -1 where the totals do not decide.
 
-    daily, if given, holds det + offset already.  For AT_END, running is
-    (prefix, mag): each trial's running sums of its walk offsets and a bound
-    on the trial's |offset|; for the path-wise test it is None.  The direct
-    test rounds each det + offset and sums the row; the total here sums the
-    offsets and det apart (det_sum, det_abs: the sum of det and of |det|).
-    Each sum is off from the exact one by at most about (n_days + 1) *
-    eps/2 * (sum |det| + n_days * mag) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, section 4.2), and comparing delta_q * total
-    with L rather than total with L / delta_q moves the threshold by about
-    eps * |L / delta_q|.  Where every trial lies farther from the threshold
-    than _MARGIN_FACTOR times the sum of these, both decide alike and the
-    count is taken from the totals; otherwise the direct test runs.
+    prefix holds each trial's running sums of its walk offsets and mag a
+    bound on the trial's |offset|.  The direct test rounds each det +
+    offset and sums the row; the total here sums the offsets and det apart
+    (det_sum, det_abs: the sum of det and of |det|).  Each sum is off from
+    the exact one by at most about (n_days + 1) * eps/2 * (sum |det| +
+    n_days * mag) (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 4.2), and comparing delta_q * total with L rather than
+    total with L / delta_q moves the threshold by about eps * |L / delta_q|.
+    Where every trial of a point lies farther from the threshold than
+    _MARGIN_FACTOR times the sum of these, both decide alike and the count
+    is taken from the totals; otherwise the point needs the direct test.
+    With p0, det is the no-impact prices, n_days copies of p0, whose
+    correctly rounded sum is n_days * p0.
     """
-    if running is not None:
-        prefix, mag = running
-        n_days = offset.shape[1]
-        total = prefix[:, n_days - 1] + det_sum
-        margin = _MARGIN_FACTOR * (n_days + 4) * _EPS * (det_abs + n_days * mag + liq.threshold)
-        # Written so that a nan total, threshold or margin counts as undecided.
-        if (np.abs(total - liq.threshold) > margin).all():
-            return int(np.count_nonzero(total < liq.threshold))
-    return int(test(liq, det + offset if daily is None else daily).sum())
+    days = np.array([len(liq.det) for liq in run])
+    threshold = np.array([liq.threshold for liq in run])
+    if p0 is None:
+        det_sum, det_abs = [liq.det_sum for liq in run], [liq.det_abs for liq in run]
+    else:
+        det_sum = det_abs = days * p0
+    total = prefix[:, days - 1]
+    total += det_sum
+    counts = np.count_nonzero(total < threshold, axis=0)
+    total -= threshold
+    np.abs(total, out=total)
+    margin = np.multiply.outer(mag, days)
+    margin += det_abs
+    margin += threshold
+    margin *= _MARGIN_FACTOR * (days + 4) * _EPS
+    # Written so that a nan total, threshold or margin leaves its point undecided.
+    decided = (total > margin).all(axis=0)
+    return np.where(decided, counts, -1).tolist()
 
 
 # Trials per vectorized batch; bounds the noise matrix to a few megabytes.
@@ -292,11 +313,18 @@ _BATCH = 512
 _MEMORY_BUDGET_BYTES = MEMORY_BUDGET_BYTES
 # Float arrays of (batch, horizon) alive at once in _simulate.  The path-wise
 # test holds the walk, the point's prices, the no-impact prices, the running
-# proceeds and one product.  AT_END holds the walk, its prefix sums, the
-# point's prices and the no-impact prices (both only where the direct test or
-# the negative-price count needs them), or, while the next batch is drawn,
-# the previous walk, prefix sums and prices beside the new noise matrix.
+# proceeds and one product.  AT_END holds the walk and its prefix sums
+# throughout, and beside them at most three more: while it decides a run of
+# points, the run's totals and their margins (one column per point) and the
+# last point's prices; then, for each point, its prices and its no-impact
+# prices (each only where the direct test or the negative-price count needs
+# it); and while the next batch is drawn, the last point's prices and the new
+# noise matrix.
 _BATCH_ARRAYS = 5
+# Grid points the AT_END decision takes at once: the longest horizon's worth,
+# so that its matrices are no wider than the walk, but at least _RUN, so that
+# a grid of short horizons is not decided a few points at a time.
+_RUN = 64
 
 
 def _check_memory(horizons: "list[int]", n_trials: int) -> None:
@@ -306,12 +334,17 @@ def _check_memory(horizons: "list[int]", n_trials: int) -> None:
     liquidation keeps two float vectors of its horizon (noise-free prices
     and shares held); one trial's normals are drawn into a vector of the
     longest horizon, and the batch loop holds _BATCH_ARRAYS float matrices
-    of (trials per batch, longest horizon).  The message names the grid
-    size or the longest horizon, whichever needs more.
+    of (trials per batch, longest horizon).  Where the horizon is shorter
+    than _RUN, the AT_END decision's totals and margins can be wider than
+    that, so they are charged on their own, as two matrices of (trials per
+    batch, up to _RUN points).  The message names the grid size or the
+    longest horizon, whichever needs more.
     """
     horizon = max(horizons)
     points = CURVE_POINT_BYTES * len(horizons)
-    arrays = 8 * (2 * sum(horizons) + horizon + _BATCH_ARRAYS * min(_BATCH, n_trials) * horizon)
+    batch = min(_BATCH, n_trials)
+    decision = 2 * batch * min(len(horizons), _RUN) if horizon < _RUN else 0
+    arrays = 8 * (2 * sum(horizons) + horizon + _BATCH_ARRAYS * batch * horizon + decision)
     what = f"a {len(horizons)}-point grid" if points > arrays else f"a {horizon:.3g}-day horizon"
     check_memory(points + arrays, what, _MEMORY_BUDGET_BYTES)
 
@@ -321,20 +354,25 @@ def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float
 
     Row i of the batch starting at trial s is drawn from the stream
     trial_rng(master_seed, s + i).  One Philox is moved to each trial by
-    assigning its counter, which gives the same draws without building a
-    stream per trial.
+    assigning its state, which gives the same draws without building a
+    stream per trial.  The state holds Python ints, which the setter reads
+    faster than numpy arrays, and each trial is drawn straight into its row.
     """
     bitgen = np.random.Philox(key=master_seed)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter zero, empty output buffer
-    counter = state["state"]["counter"]
+    draw = np.random.Generator(bitgen).standard_normal
+    initial = bitgen.state  # counter zero, empty output buffer
+    counter = [0, 0, 0, 0]
+    state = {
+        **initial,
+        "state": {"counter": counter, "key": initial["state"]["key"].tolist()},
+        "buffer": initial["buffer"].tolist(),
+    }
     for start in range(0, n_trials, _BATCH):
-        count = min(_BATCH, n_trials - start)
-        noise = np.empty((count, horizon), dtype=np.float64)
-        for i in range(count):
-            counter[2] = start + i
+        noise = np.empty((min(_BATCH, n_trials - start), horizon), dtype=np.float64)
+        for index, row in enumerate(noise, start):
+            counter[2] = index
             bitgen.state = state
-            noise[i] = gen.standard_normal(horizon)
+            draw(out=row)
         np.cumsum(noise, axis=1, out=noise)
         noise *= step
         yield noise
@@ -358,11 +396,12 @@ def _simulate(
     would give.  With noimpact, each trial is also tested with the impact
     drift switched off (prices p0 plus the same noise).
 
-    AT_END takes one prefix sum of the walk per batch and decides each
-    trial from its running total where the total is clear of the threshold
-    by more than any rounding could move it (_bankrupt_count); if any trial
-    of the batch is not, the batch runs the direct test.  Either way each
-    count is the direct test's count.
+    AT_END takes one prefix sum of the walk per batch and decides every
+    point of a run at once from the trials' running totals, where each
+    total is clear of the threshold by more than any rounding could move it
+    (_end_counts).  A point with any trial that is not runs the direct test
+    on the batch, the impact and no-impact columns each on their own.
+    Either way each count is the direct test's count.
     """
     horizon = max(len(liq.det) for liq in liquidations)
     if noise_scale > 0.0:
@@ -374,32 +413,40 @@ def _simulate(
     at_end = mode is BankruptcyMode.AT_END
     test = _end_bankrupt if at_end else _path_bankrupt
     tallies = [_Tally() for _ in liquidations]
+    run_points = max(horizon, _RUN)
     for weight, walk in batches:
         row_min = walk.min(axis=1)
         lowest = float(row_min.min())
-        running = None  # freed before the next sums are built, which measured faster
+        prefix = None  # freed before the next sums are built, which measured faster
         if at_end:
-            running = np.cumsum(walk, axis=1), np.maximum(walk.max(axis=1), -row_min)
-        for liq, tally in zip(liquidations, tallies):
-            n_days = len(liq.det)
-            offset = walk[:, :n_days]
-            # Rounding is monotone, so no price is below this sum rounded.  (Built
-            # before the last point's prices are freed: freeing them first
-            # fragmented the heap, 13 MB more peak RSS on a 10240-day grid.)
-            daily = liq.det + offset if lowest + liq.det_min <= 0.0 else None
-            if daily is not None:
-                negative = (daily < 0).sum(axis=1)
-                tally.negative_trials += weight * int((negative > 0).sum())
-                tally.negative_steps += weight * int(negative.sum())
-            tally.bankrupt += weight * _bankrupt_count(
-                test, liq, offset, running, liq.det, liq.det_sum, liq.det_abs, daily
-            )
-            if noimpact:
-                # n_days * p0 is the correctly rounded fsum of n_days copies of p0.
-                total = n_days * p0
-                tally.bankrupt_noimpact += weight * _bankrupt_count(
-                    test, liq, offset, running, p0, total, total
-                )
+            prefix = np.cumsum(walk, axis=1)
+            mag = np.maximum(walk.max(axis=1), -row_min)
+        for lo in range(0, len(liquidations), run_points):
+            run = liquidations[lo : lo + run_points]
+            counts = counts_noimpact = [-1] * len(run)
+            if at_end:
+                counts = _end_counts(run, prefix, mag)
+                if noimpact:
+                    counts_noimpact = _end_counts(run, prefix, mag, p0)
+            run_tallies = tallies[lo : lo + run_points]
+            for liq, tally, k, k_noimpact in zip(run, run_tallies, counts, counts_noimpact):
+                n_days = len(liq.det)
+                offset = walk[:, :n_days]
+                # Rounding is monotone, so no price is below this sum rounded.  (Built
+                # before the last point's prices are freed: freeing them first
+                # fragmented the heap, 13 MB more peak RSS on a 10240-day grid.)
+                daily = liq.det + offset if lowest + liq.det_min <= 0.0 else None
+                if daily is not None:
+                    negative = (daily < 0).sum(axis=1)
+                    tally.negative_trials += weight * int((negative > 0).sum())
+                    tally.negative_steps += weight * int(negative.sum())
+                if k < 0:
+                    k = int(test(liq, liq.det + offset if daily is None else daily).sum())
+                tally.bankrupt += weight * k
+                if noimpact:
+                    if k_noimpact < 0:
+                        k_noimpact = int(test(liq, p0 + offset).sum())
+                    tally.bankrupt_noimpact += weight * k_noimpact
     return tallies
 
 
@@ -474,6 +521,7 @@ def transition_curve(
         raise ValueError(f"Y * sigma must be positive and finite, got Y={Y}, sigma={sigma}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _check_seed(master_seed)
     _check_noise_sigma(noise_sigma)
     V, p0 = 1e6, 1.0
     horizons = []  # whole days per point; 0 at calI = 0 and where the horizon rounds to 0

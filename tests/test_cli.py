@@ -2,15 +2,23 @@
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import impactval
 from impactval import leverage as lev
 from impactval.cli import main, parse_fraction, parse_grid
+
+SRC = Path(impactval.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -613,3 +621,96 @@ def test_warnings_print_as_one_line(argv, warning, capsys):
     assert out.splitlines()[0] in ("calI,p_bankrupt,std_error,p_bankrupt_noimpact",
                                    "mark-to-market value:   1e+06")
     assert warnings.showwarning is shown
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("noise", [[], ["--noise-sigma", "0"]], ids=["noisy", "noise-free"])
+def test_bankruptcy_seed_out_of_range_exit_1(seed, noise, capsys):
+    code, out, err = run(
+        capsys, "bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0.1:0.2:3",
+        "--trials", "10", "--seed", seed, *noise,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: master_seed must be an integer in [0, 2**128), got {seed}\n"
+
+
+def test_bankruptcy_largest_seed(capsys):
+    code, out, _ = run(
+        capsys, "bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0.1:0.2:3",
+        "--trials", "10", "--seed", str(2**128 - 1),
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 4
+
+
+def run_program(*argv: str, flags=()) -> subprocess.CompletedProcess:
+    """Run the program entry, ``python -m impactval.cli``, in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "impactval.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["critical", "--lambda0", "9", "--impact", "0.19"], 0, ""),
+        (
+            ["value", "--Q", "1e6", "--p0", "1", "--sigma", "2%", "--V", "1e6", "--S", "0.1%",
+             "--b", "1.5"],
+            0,
+            "warning: b=1.5 lies outside the typical range (0.6, 0.9)\n",
+        ),
+        (
+            ["bankruptcy", "--lambda0", "9", "--eta", "1", "--trials", "300", "--seed", "3",
+             "--mc-mode", "anywhere", "--impact-grid", "0.1:0.3:5"],
+            0,
+            "warning: calI=0.3: 173/67500 simulated prices were negative; "
+            "the Gaussian noise model is being stretched\n",
+        ),
+        (["value", "--Q", "1e6", "--p0", "10"], 1,
+         "error: impact parameters required: --params FILE or --sigma and --V\n"),
+        (["critical", "--lambda0", "9", "--format", "csv"], 2,
+         "error: critical --format is text or json, not csv\n"),
+    ],
+    ids=["ok", "warning", "bankruptcy-warning", "error", "usage"],
+)
+def test_program_entry_exit_codes_under_dev_mode(argv, code, err):
+    # Development mode with ResourceWarning as an error: exiting after
+    # gc.freeze() leaves no file or stream unclosed.
+    proc = run_program(*argv, flags=("-X", "dev", "-W", "error::ResourceWarning"))
+    assert proc.returncode == code
+    assert proc.stderr == err
+    assert (proc.stdout != "") == (code == 0)
+
+
+def test_program_entry_argparse_error_exit_2():
+    proc = run_program("bankruptcy", "--lambda0", "9", flags=("-X", "dev"))
+    assert proc.returncode == 2
+    assert "error: the following arguments are required: --eta" in proc.stderr
+
+
+def test_program_entry_writes_a_whole_csv_to_a_pipe():
+    proc = run_program("trajectory", "--lambda0", "9", "--impact", "0.25", "--grid", "2000",
+                       "--format", "csv")
+    assert proc.returncode == 0
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert len(rows) == 2001
+    assert proc.stdout.endswith("\n")
+    assert all(len(row) == len(rows[0]) for row in rows)
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # Only the program entry freezes; library and in-process calls do not.
+    before = gc.get_freeze_count()
+    assert run(capsys, "critical", "--lambda0", "9", "--impact", "0.19")[0] == 0
+    assert run(capsys, "value", "--Q", "1e6", "--p0", "10")[0] == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"impactval": "impactval.cli:run"}

@@ -291,6 +291,28 @@ def test_noise_sigma_must_be_finite_and_non_negative(noise_sigma):
             transition_curve(9.0, 10.0, grid, n_trials=10, master_seed=0, noise_sigma=noise_sigma)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.0, "3", None])
+def test_master_seed_must_be_a_128_bit_integer(seed):
+    message = "^master_seed must be an integer in \\[0, 2\\*\\*128\\)"
+    with pytest.raises(ValueError, match=message):
+        make_config(9.0, 0.15, 25, master_seed=seed)
+    # The noise-free path draws nothing, and a grid without a feasible point
+    # simulates nothing; both are checked all the same.
+    for noise_sigma, grid in ((None, [0.15]), (0.0, [0.15]), (None, [0.0])):
+        with pytest.raises(ValueError, match=message):
+            transition_curve(9.0, 10.0, grid, n_trials=10, master_seed=seed, noise_sigma=noise_sigma)
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1, np.uint64(2**64 - 1)])
+def test_master_seed_range_is_inclusive(seed):
+    make_config(9.0, 0.15, 25, master_seed=seed)
+    (point,) = transition_curve(9.0, 10.0, [0.15], n_trials=20, master_seed=seed, sigma=0.01)
+    _, (bankrupt, bankrupt_noimpact, _) = _oracle_counts(
+        9.0, 10.0, 0.15, 20, seed, BankruptcyMode.AT_END, None
+    )
+    assert (point.p_bankrupt, point.p_bankrupt_noimpact) == (bankrupt / 20, bankrupt_noimpact / 20)
+
+
 def test_memory_budget_checked_before_allocation():
     # calI = 0.3 at sigma = 2% and eta = 1e-9 asks for a 2.25e11-day horizon:
     # its noise-free price vector alone would take 1.8 TB.
@@ -437,10 +459,13 @@ def test_transition_csv_rows():
     assert float(rows[1][0]) == 0.0
 
 
-@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**64 + 3])
+# Seeds of one and of two 64-bit key words, up to the largest.
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**64 + 3, 2**128 - 1])
 def test_rekeyed_stream_matches_trial_rng(seed):
-    indices = (0, 1, _BATCH - 1, _BATCH, 9999)
+    indices = (0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 9999)
     batches = list(_cumulative_noise(seed, 10_000, 5, 1.0))
+    # Whole batches, then a partial last one.
+    assert [len(batch) for batch in batches] == [_BATCH] * 19 + [10_000 - 19 * _BATCH]
     for i in indices:
         expected = np.random.Generator(np.random.Philox(key=seed).jumped(i)).standard_normal(5)
         assert np.array_equal(trial_rng(seed, i).standard_normal(5), expected)
@@ -607,6 +632,17 @@ def test_memory_budget_charges_each_grid_point(monkeypatch):
         _check_memory([1] * 100 + [100], 512)
 
 
+def test_memory_budget_charges_the_decision_of_short_horizons(monkeypatch):
+    # Ten 1-day points at 512 trials a batch: the AT_END decision holds their
+    # totals and margins, two (512, 10) matrices, wider than the one-day walk.
+    need = 10 * montecarlo.CURVE_POINT_BYTES + 8 * (2 * 10 + 1 + 5 * 512 + 2 * 512 * 10)
+    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", need)
+    _check_memory([1] * 10, 512)
+    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", need - 1)
+    with pytest.raises(ValueError, match="^a 1-day horizon needs"):
+        _check_memory([1] * 10, 512)
+
+
 def _drift_free(config):
     """The same liquidation with the impact drift switched off: prices p0 plus noise."""
     params = ImpactParams(Y=0.0, sigma=config.params.sigma, V=config.params.V)
@@ -693,18 +729,35 @@ def _parent_counts(liquidations, mode, p0, step, n_trials, seed):
     return counts
 
 
-@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
-@pytest.mark.parametrize("mode", list(BankruptcyMode))
-@pytest.mark.parametrize("noise_sigma", [None, 0.4])
-def test_transition_curve_matches_per_point_loop(mode, noise_sigma):
-    lambda0, eta, sigma, V, n_trials, seed = 9.0, 10.0, 0.01, 1e6, 600, 4242
-    grid = np.linspace(0.0, 0.32, 65)
+def _spy_end_counts(monkeypatch) -> list:
+    """Record each AT_END decision as (column, counts): column 0 with impact, 1 without."""
+    calls = []
+    real = montecarlo._end_counts
+
+    def spy(run, prefix, mag, p0=None):
+        counts = real(run, prefix, mag, p0)
+        calls.append((0 if p0 is None else 1, counts))
+        return counts
+
+    monkeypatch.setattr(montecarlo, "_end_counts", spy)
+    return calls
+
+
+def _check_per_point_loop(mode, noise_sigma, count, eta, sigma, n_feasible, runs, monkeypatch):
+    """A curve over linspace(0, 0.32, count) counts what the per-point loop counts.
+
+    Also checks that both columns have bankrupt and solvent trials, and that
+    AT_END decides them all from the totals, in the given number of runs.
+    """
+    lambda0, V, n_trials, seed = 9.0, 1e6, 600, 4242
+    grid = np.linspace(0.0, 0.32, count)
+    calls = _spy_end_counts(monkeypatch)
     points = transition_curve(
         lambda0, eta, grid, n_trials=n_trials, master_seed=seed, sigma=sigma,
         bankruptcy_mode=mode, noise_sigma=noise_sigma,
     )
     feasible = [pt for pt in points if pt.feasible and pt.calI > 0.0]
-    assert len(feasible) == 60  # 0.005 to 0.02 round below one day
+    assert len(feasible) == n_feasible
     params = ImpactParams(Y=1.0, sigma=sigma, V=V)
     liquidations = []
     for pt in feasible:
@@ -719,3 +772,68 @@ def test_transition_curve_matches_per_point_loop(mode, noise_sigma):
         assert pt.negative_price_trials == negative
     if noise_sigma is not None:
         assert sum(pt.negative_price_trials for pt in feasible) > 0
+    # Both columns count some trials bankrupt and some not.
+    for column in ([c[0] for c in counts], [c[1] for c in counts]):
+        assert any(0 < k < n_trials for k in column)
+    # AT_END decides both columns of every run at once, one call per column,
+    # run and batch; the path-wise test never does.
+    if mode is BankruptcyMode.AT_END:
+        assert [column for column, _ in calls] == [0, 1] * runs * -(-n_trials // _BATCH)
+        for column in (0, 1):
+            decided = [k for c, run in calls if c == column for k in run]
+            assert len(decided) == n_feasible * -(-n_trials // _BATCH)
+            assert min(decided) >= 0  # no trial lies within a rounding margin
+    else:
+        assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("mode", list(BankruptcyMode))
+@pytest.mark.parametrize("noise_sigma", [None, 0.4])
+def test_transition_curve_matches_per_point_loop(mode, noise_sigma, monkeypatch):
+    # 60 points decided in one run: 0.005 to 0.02 round below one day.
+    _check_per_point_loop(mode, noise_sigma, 65, 10.0, 0.01, 60, 1, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("mode", list(BankruptcyMode))
+@pytest.mark.parametrize("noise_sigma", [None, 0.4])
+def test_transition_curve_matches_per_point_loop_in_runs(mode, noise_sigma, monkeypatch):
+    # 125 points of 1 to 10 days, decided in runs of montecarlo._RUN points,
+    # at a volatility where a 10-day walk can bankrupt a trial without impact.
+    _check_per_point_loop(mode, noise_sigma, 161, 4.0, 0.05, 125, 2, monkeypatch)
+
+
+@pytest.mark.parametrize("column", [0, 1], ids=["impact", "no impact"])
+def test_at_end_one_point_of_a_batch_falls_back(column, monkeypatch):
+    # Six points decided in one run, one of which owes exactly a trial's own
+    # proceeds in one column: that point, and no other, falls back on the
+    # direct test in that column, and every count is the per-trial count.
+    n_days, n_trials, seed, k = (5, 9, 14, 20, 30, 45), 40, 77, 11
+    sigma, V = 0.02, 1e6
+    params = ImpactParams(Y=1.0, sigma=sigma, V=V)
+    liquidations, paths = [], []
+    for j, days in enumerate(n_days):
+        base = make_config(9.0, 0.15, days, n_trials=n_trials, master_seed=seed)
+        dq = base.schedule.delta_q
+        rows = [
+            [simulate_price_path(config, i).prices[1:] for i in range(n_trials)]
+            for config in (base, _drift_free(base))
+        ]
+        L = base.position.L
+        if j == 3:
+            L = float(dq * rows[column][k].sum())
+        liquidations.append(
+            montecarlo._liquidation(Position(Q=base.position.Q, p0=1.0, L=L), params, dq, days)
+        )
+        paths.append((dq, L, rows))
+    calls = _spy_end_counts(monkeypatch)
+    tallies = montecarlo._simulate(
+        liquidations, BankruptcyMode.AT_END, 1.0, sigma, n_trials, seed, noimpact=True
+    )
+    assert [c for c, _ in calls] == [0, 1]
+    for c, counts in calls:
+        assert [j for j, count in enumerate(counts) if count < 0] == ([3] if c == column else [])
+    for tally, (dq, L, rows) in zip(tallies, paths):
+        expected = [sum(dq * daily.sum() < L for daily in trials) for trials in rows]
+        assert [tally.bankrupt, tally.bankrupt_noimpact] == expected
