@@ -2,7 +2,7 @@
 
 Usage::
 
-    python scripts/compare_outputs.py OTHER_CHECKOUT [--quick]
+    python scripts/compare_outputs.py OTHER_CHECKOUT
 
 OTHER_CHECKOUT is a second copy of the repository (for example one made
 with ``git archive``) whose ``src`` is imported in place of this one's.
@@ -17,9 +17,7 @@ Both sides run the same cases, each in its own interpreter:
   random configurations (both modes, noise_sigma None, 0 and random, 1 to
   2000 trials), with the warnings each one raised.
 
-The script prints each case that differs and exits 1 if any does.  With
-``--quick`` the benchmark commands use the workloads' quick sizes and
-fewer random configurations run.
+The script prints each case that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -37,17 +35,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RANDOM_CONFIGS = 160
-QUICK_RANDOM_CONFIGS = 40
 
 
-def cli_cases(work: Path, quick: bool) -> list[tuple[str, list[str], Path | None]]:
+def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
     """(name, argv, output file) of every CLI case; input files are written to ``work``."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
     cases = []
     for name, cls in sorted(workloads.WORKLOADS.items()):
-        workload = cls(work, ROOT, quick)
+        workload = cls(work, ROOT, quick=False)
         rng = random.Random(f"compare-{name}")
         for i, cmd in enumerate(workload.round(rng) + workload.reference_round(rng)):
             cases.append((f"{name}-{i}-{cmd.kind}", list(cmd.args), cmd.out))
@@ -110,10 +107,10 @@ def cli_cases(work: Path, quick: bool) -> list[tuple[str, list[str], Path | None
     return cases
 
 
-def cli_records(work: Path, quick: bool) -> dict:
+def cli_records(work: Path) -> dict:
     """Exit code, stdout, stderr and output file of each CLI case, run in this interpreter's tree."""
     records = {}
-    for name, argv, out in cli_cases(work, quick):
+    for name, argv, out in cli_cases(work):
         if out is not None and out.exists():
             out.unlink()
         proc = subprocess.run([sys.executable, "-m", "impactval.cli", *argv], cwd=work,
@@ -127,17 +124,17 @@ def cli_records(work: Path, quick: bool) -> dict:
     return records
 
 
-def curve_configs(quick: bool) -> list[tuple[str, tuple, dict]]:
+def curve_configs() -> list[tuple[str, tuple, dict]]:
     """(name, positional arguments, keywords) of each transition_curve case."""
     grid = [0.32 * i / 16 for i in range(17)]
     configs = [
         ("mc_curve", (9.0, 10.0, grid, 10_000, 12345), {"sigma": 0.01}),
         ("eta-1", (9.0, 1.0, grid, 2_000, 2**64 + 3), {"sigma": 0.01}),
-        ("long-horizon", (9.0, 0.1, grid, 300 if quick else 1_000, 77),
+        ("long-horizon", (9.0, 0.1, grid, 1_000, 77),
          {"sigma": 0.01, "bankruptcy_mode": "ANYWHERE_ON_PATH"}),
     ]
     rng = random.Random(20261018)
-    for i in range(QUICK_RANDOM_CONFIGS if quick else RANDOM_CONFIGS):
+    for i in range(RANDOM_CONFIGS):
         eta = 10 ** rng.uniform(-1.5, 1.5)
         Y, sigma = rng.uniform(0.3, 2.0), rng.uniform(0.005, 0.05)
         # At most 2000 days per point keeps each case short.
@@ -157,12 +154,12 @@ def curve_configs(quick: bool) -> list[tuple[str, tuple, dict]]:
     return configs
 
 
-def curve_records(quick: bool) -> dict:
+def curve_records() -> dict:
     """repr of each transition_curve result, or of its error, with its warnings."""
     from impactval import montecarlo as mc
 
     records = {}
-    for name, args, keywords in curve_configs(quick):
+    for name, args, keywords in curve_configs():
         if "bankruptcy_mode" in keywords:
             keywords = dict(keywords, bankruptcy_mode=mc.BankruptcyMode[keywords["bankruptcy_mode"]])
         with warnings.catch_warnings(record=True) as caught:
@@ -175,22 +172,22 @@ def curve_records(quick: bool) -> dict:
     return records
 
 
-def emit(work: Path, quick: bool) -> None:
+def emit(work: Path) -> None:
     """Print every record of the tree on PYTHONPATH as one JSON object."""
     import impactval
 
     source = Path(os.environ["PYTHONPATH"]).resolve()
     if source not in Path(impactval.__file__).resolve().parents:
         raise SystemExit(f"error: impactval loads from {impactval.__file__}, not from {source}")
-    records = cli_records(work, quick)
-    records.update(curve_records(quick))
+    records = cli_records(work)
+    records.update(curve_records())
     json.dump(records, sys.stdout)
 
 
-def collect(checkout: Path, work: Path, quick: bool) -> dict:
+def collect(checkout: Path, work: Path) -> dict:
     """Records of one checkout; both sides use the same work directory, so paths in messages agree."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    argv = [sys.executable, __file__, "--emit", str(work)] + (["--quick"] if quick else [])
+    argv = [sys.executable, __file__, "--emit", str(work)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=3600)
     if proc.returncode != 0:
         raise SystemExit(f"error: the run on {checkout} failed:\n{proc.stderr[-2000:]}")
@@ -200,19 +197,18 @@ def collect(checkout: Path, work: Path, quick: bool) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", nargs="?", type=Path, help="checkout to compare with")
-    parser.add_argument("--quick", action="store_true", help="smaller benchmark commands")
     parser.add_argument("--emit", metavar="WORK", type=Path, help=argparse.SUPPRESS)
     opts = parser.parse_args()
     if opts.emit:
-        emit(opts.emit, opts.quick)
+        emit(opts.emit)
         return 0
     if opts.other is None:
         parser.error("the checkout to compare with is required")
     if not (opts.other / "src" / "impactval" / "cli.py").is_file():
         parser.error(f"no impactval sources under {opts.other}")
     with tempfile.TemporaryDirectory() as work:
-        ours = collect(ROOT, Path(work), opts.quick)
-        theirs = collect(opts.other.resolve(), Path(work), opts.quick)
+        ours = collect(ROOT, Path(work))
+        theirs = collect(opts.other.resolve(), Path(work))
     differ = [name for name in ours.keys() | theirs.keys() if ours.get(name) != theirs.get(name)]
     for name in sorted(differ):
         print(f"differs: {name}\n  this:  {ours.get(name)!r:.1000}\n  other: {theirs.get(name)!r:.1000}")
