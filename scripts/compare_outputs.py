@@ -9,13 +9,15 @@ with ``git archive``) whose ``src`` is imported in place of this one's.
 Both sides run the same cases, each in its own interpreter:
 
 - every command the benchmark workloads in ``bench/workloads.py`` send,
-  and every subcommand in each of its formats, plus usage and data errors
-  and a warning, as ``python -m impactval.cli`` subprocesses: exit code,
+  and every subcommand in each of its formats, plus usage and data errors,
+  each memory-budget refusal, a warning and CSV and JSON written with
+  ``--out``, as ``python -m impactval.cli`` subprocesses: exit code,
   stdout, stderr and the ``--out`` file are compared;
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
-  on the same grid at eta = 1, on the long-horizon path-wise grid and on
-  random configurations (both modes, noise_sigma None, 0 and random, 1 to
-  2000 trials), with the warnings each one raised.
+  on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
+  two-day points, on 100 points of 1 to 256 days and on random
+  configurations (both modes, noise_sigma None, 0 and random, 1 to 2000
+  trials), with the warnings each one raised.
 
 The script prints each case that differs and exits 1 if any does.
 """
@@ -88,6 +90,14 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
                                 "--impact-grid", "0:1"],
         "bankruptcy-zero-trials": [*curve, "--trials", "0"],
         "bankruptcy-big-seed": [*curve, "--trials", "20", "--seed", str(2**128 - 1)],
+        "bankruptcy-grid-over-budget": ["bankruptcy", "--lambda0", "9", "--eta", "10",
+                                        "--impact-grid", "0:0.3:1000000"],
+        "bankruptcy-horizon-over-budget": ["bankruptcy", "--lambda0", "9", "--eta", "1e-9"],
+        "trajectory-over-budget": ["trajectory", "--lambda0", "9", "--impact", "0.1",
+                                   "--grid", "3000000"],
+        "trajectory-roundtrip-over-budget": ["trajectory", "--mode", "roundtrip", "--Q", "1e6",
+                                             "--p0", "10", "--sigma", "19%", "--V", "1e6",
+                                             "--grid", "3000000"],
         "report-text": ["report"],
         "report-json": ["report", "--format", "json"],
         "report-csv": ["report", "--format", "csv"],
@@ -103,7 +113,12 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
     }
     cases += [(name, argv, None) for name, argv in argvs.items()]
     out = work / "out.txt"
-    cases.append(("value-out", ["value", *position, "--format", "json", "--out", str(out)], out))
+    to_file = {
+        "value-out": ["value", *position, "--format", "json"],
+        "report-csv-out": ["report", str(assets), "--format", "csv"],
+        "bankruptcy-out": [*curve, "--seed", "10"],
+    }
+    cases += [(name, [*argv, "--out", str(out)], out) for name, argv in to_file.items()]
     return cases
 
 
@@ -132,6 +147,12 @@ def curve_configs() -> list[tuple[str, tuple, dict]]:
         ("eta-1", (9.0, 1.0, grid, 2_000, 2**64 + 3), {"sigma": 0.01}),
         ("long-horizon", (9.0, 0.1, grid, 1_000, 77),
          {"sigma": 0.01, "bankruptcy_mode": "ANYWHERE_ON_PATH"}),
+        # AT_END decides _RUN = 64 points at a time: many points of a few
+        # days, and more than 64 points with horizons past 64 days.
+        ("two-day", (9.0, 10.0, [0.04 + 0.0049 * i / 1999 for i in range(2000)], 10_000, 5),
+         {"sigma": 0.01}),
+        ("past-run-days", (9.0, 1.0, [0.32 * i / 104 for i in range(105)], 2_000, 6),
+         {"sigma": 0.02}),
     ]
     rng = random.Random(20261018)
     for i in range(RANDOM_CONFIGS):

@@ -50,9 +50,7 @@ def parse_grid(text: str) -> list[float]:
     from . import leverage as lev
 
     try:  # each point becomes a transition-curve point
-        lev.check_memory(
-            count * lev.CURVE_POINT_BYTES, f"a {count}-point grid", lev.MEMORY_BUDGET_BYTES
-        )
+        lev.check_memory(count * lev.CURVE_POINT_BYTES, f"a {count}-point grid")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return lev.linspace(start, stop, count)
@@ -119,16 +117,6 @@ def _write_json(args, payload) -> None:
     _write_text(args, json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
 
 
-def _write_rows(args, rows) -> None:
-    import csv
-
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(rows)
-    else:
-        csv.writer(sys.stdout).writerows(rows)
-
-
 def cmd_value(args) -> int:
     params = _params_from_args(args)
     pos = Position(Q=args.Q, p0=args.p0, L=args.L)
@@ -168,9 +156,7 @@ def cmd_trajectory(args) -> int:
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
     points = 2 * args.grid if args.mode == "roundtrip" else args.grid
-    lev.check_memory(
-        points * lev.TRAJECTORY_POINT_BYTES, f"a {args.grid}-point grid", lev.MEMORY_BUDGET_BYTES
-    )
+    lev.check_memory(points * lev.TRAJECTORY_POINT_BYTES, f"a {args.grid}-point grid")
     if args.mode == "roundtrip":
         if args.Q is None or args.p0 is None:
             raise ValueError("roundtrip mode requires --Q and --p0 plus impact parameters")
@@ -230,6 +216,7 @@ def cmd_critical(args) -> int:
 
 
 def cmd_bankruptcy(args) -> int:
+    from . import leverage as lev
     from . import montecarlo as mc
 
     mode = (
@@ -248,7 +235,7 @@ def cmd_bankruptcy(args) -> int:
         bankruptcy_mode=mode,
         noise_sigma=args.noise_sigma,
     )
-    _write_rows(args, mc.transition_csv_rows(points))
+    lev.write_csv(mc.transition_csv_rows(points), args.out or sys.stdout)
     return 0
 
 
@@ -303,7 +290,7 @@ def _report_rows(config_path: str):
     config = configparser.ConfigParser(interpolation=None)
     config.optionxform = str  # V and v are distinct keys
     try:
-        read = config.read(config_path)
+        read = config.read(config_path, encoding="utf-8")
     except configparser.Error as exc:
         detail = "; ".join(line.strip() for line in exc.message.splitlines())
         raise ValueError(f"cannot parse asset config {config_path!r}: {detail}") from None
@@ -321,6 +308,8 @@ def _report_rows(config_path: str):
 
 
 def cmd_report(args) -> int:
+    from . import leverage as lev
+
     path = args.assets
     if path is None:
         import importlib.resources
@@ -337,7 +326,7 @@ def cmd_report(args) -> int:
                 ["" if row[k] is None else repr(row[k]) if isinstance(row[k], float) else str(row[k])
                  for k in out[0]]
             )
-        _write_rows(args, out)
+        lev.write_csv(out, args.out or sys.stdout)
         return 0
 
     headers = ["asset", "sigma", "V", "S", "v", "I1", "I2", "lambda_c"]

@@ -18,6 +18,7 @@ error, so trajectories can be rendered across it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -80,12 +81,12 @@ CURVE_POINT_BYTES = 1280
 TRAJECTORY_POINT_BYTES = 400
 
 
-def check_memory(needed: float, what: str, budget: int) -> None:
-    """Refuse, with ValueError, work that needs more than ``budget`` bytes."""
-    if needed > budget:
+def check_memory(needed: float, what: str) -> None:
+    """Refuse, with ValueError, work that needs more than MEMORY_BUDGET_BYTES."""
+    if needed > MEMORY_BUDGET_BYTES:
         raise ValueError(
             f"{what} needs {needed / 2**30:.3g} GiB of memory, "
-            f"over the {budget / 2**30:.3g} GiB budget"
+            f"over the {MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
         )
 
 
@@ -384,18 +385,18 @@ def _ratio_or_diverged(assets: float, equity: float) -> float:
     return assets / equity
 
 
-def write_trajectory_csv(points: Sequence[TrajectoryPoint], dest: str | Path | TextIO) -> None:
-    """Write trajectory points as CSV; divergence serializes as the string 'inf'."""
+def write_csv(rows: Iterable[Sequence[str]], dest: str | Path | TextIO) -> None:
+    """Write rows as CSV to a path (UTF-8) or an open text stream."""
     import csv
 
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="", encoding="utf-8") as handle:
-            _write_rows(points, csv.writer(handle))
+            csv.writer(handle).writerows(rows)
     else:
-        _write_rows(points, csv.writer(dest))
+        csv.writer(dest).writerows(rows)
 
 
-def _write_rows(points: Sequence[TrajectoryPoint], writer) -> None:
-    writer.writerow(TRAJECTORY_COLUMNS)
-    for pt in points:
-        writer.writerow([repr(float(getattr(pt, col))) for col in TRAJECTORY_COLUMNS])
+def write_trajectory_csv(points: Sequence[TrajectoryPoint], dest: str | Path | TextIO) -> None:
+    """Write trajectory points as CSV; divergence serializes as the string 'inf'."""
+    rows = ([repr(float(getattr(pt, col))) for col in TRAJECTORY_COLUMNS] for pt in points)
+    write_csv(itertools.chain([TRAJECTORY_COLUMNS], rows), dest)

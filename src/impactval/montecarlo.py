@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .impact import ImpactParams
-from .leverage import CURVE_POINT_BYTES, MEMORY_BUDGET_BYTES, check_memory
+from .leverage import CURVE_POINT_BYTES, check_memory
 from .valuation import Position
 
 
@@ -309,8 +309,6 @@ def _end_counts(
 # Trials per vectorized batch; bounds the noise matrix to a few megabytes.
 _BATCH = 512
 
-# Largest working set a simulation may ask for, checked before any array is built.
-_MEMORY_BUDGET_BYTES = MEMORY_BUDGET_BYTES
 # Float arrays of (batch, horizon) alive at once in _simulate.  The path-wise
 # test holds the walk, the point's prices, the no-impact prices, the running
 # proceeds and one product.  AT_END holds the walk and its prefix sums
@@ -321,11 +319,9 @@ _MEMORY_BUDGET_BYTES = MEMORY_BUDGET_BYTES
 # it); and while the next batch is drawn, the last point's prices and the new
 # noise matrix.
 _BATCH_ARRAYS = 5
-# Grid points the AT_END decision takes at once: the longest horizon's worth,
-# so that its matrices are no wider than the walk, but at least _RUN, so that
-# a grid of short horizons is not decided a few points at a time.  On 2000
-# two-day points (10k trials, 2-core VM), widths 64 to 256 ran alike, 16 took
-# 30% longer and 2000 twice as long.
+# Grid points the AT_END decision takes at once.  On 2000 two-day points (10k
+# trials, 2-core VM), widths 64 to 256 ran alike, 16 took 30% longer and 2000
+# twice as long.
 _RUN = 64
 
 
@@ -336,10 +332,11 @@ def _check_memory(horizons: "list[int]", n_trials: int) -> None:
     liquidation keeps two float vectors of its horizon (noise-free prices
     and shares held); one trial's normals are drawn into a vector of the
     longest horizon, and the batch loop holds _BATCH_ARRAYS float matrices
-    of (trials per batch, longest horizon).  Where the horizon is shorter
-    than _RUN, the AT_END decision's totals and margins can be wider than
-    that, so they are charged on their own, as two matrices of (trials per
-    batch, up to _RUN points).  The message names the grid size or the
+    of (trials per batch, longest horizon).  The AT_END decision's totals
+    and margins are two matrices of (trials per batch, up to _RUN points).
+    From a horizon of _RUN days on they are no wider than the walk and
+    count among those matrices; below it they can be wider, so only then
+    are they charged on their own.  The message names the grid size or the
     longest horizon, whichever needs more.
     """
     horizon = max(horizons)
@@ -348,7 +345,7 @@ def _check_memory(horizons: "list[int]", n_trials: int) -> None:
     decision = 2 * batch * min(len(horizons), _RUN) if horizon < _RUN else 0
     arrays = 8 * (2 * sum(horizons) + horizon + _BATCH_ARRAYS * batch * horizon + decision)
     what = f"a {len(horizons)}-point grid" if points > arrays else f"a {horizon:.3g}-day horizon"
-    check_memory(points + arrays, what, _MEMORY_BUDGET_BYTES)
+    check_memory(points + arrays, what)
 
 
 def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float):
@@ -398,8 +395,8 @@ def _simulate(
     would give.  With noimpact, each trial is also tested with the impact
     drift switched off (prices p0 plus the same noise).
 
-    AT_END takes one prefix sum of the walk per batch and decides every
-    point of a run at once from the trials' running totals, where each
+    AT_END takes one prefix sum of the walk per batch and decides the
+    points _RUN at a time from the trials' running totals, where each
     total is clear of the threshold by more than any rounding could move it
     (_end_counts).  A point with any trial that is not runs the direct test
     on the batch, the impact and no-impact columns each on their own.
@@ -415,7 +412,6 @@ def _simulate(
     at_end = mode is BankruptcyMode.AT_END
     test = _end_bankrupt if at_end else _path_bankrupt
     tallies = [_Tally() for _ in liquidations]
-    run_points = max(horizon, _RUN)
     for weight, walk in batches:
         row_min = walk.min(axis=1)
         lowest = float(row_min.min())
@@ -423,14 +419,14 @@ def _simulate(
         if at_end:
             prefix = np.cumsum(walk, axis=1)
             mag = np.maximum(walk.max(axis=1), -row_min)
-        for lo in range(0, len(liquidations), run_points):
-            run = liquidations[lo : lo + run_points]
+        for lo in range(0, len(liquidations), _RUN):
+            run = liquidations[lo : lo + _RUN]
             counts = counts_noimpact = [-1] * len(run)
             if at_end:
                 counts = _end_counts(run, prefix, mag)
                 if noimpact:
                     counts_noimpact = _end_counts(run, prefix, mag, p0)
-            run_tallies = tallies[lo : lo + run_points]
+            run_tallies = tallies[lo : lo + _RUN]
             for liq, tally, k, k_noimpact in zip(run, run_tallies, counts, counts_noimpact):
                 n_days = len(liq.det)
                 offset = walk[:, :n_days]

@@ -17,6 +17,7 @@ import pytest
 import impactval
 from impactval import leverage as lev
 from impactval.cli import main, parse_fraction, parse_grid
+from impactval.impact import ImpactParams
 
 SRC = Path(impactval.__file__).resolve().parents[1]
 
@@ -644,9 +645,9 @@ def test_bankruptcy_largest_seed(capsys):
     assert len(out.splitlines()) == 4
 
 
-def run_program(*argv: str, flags=()) -> subprocess.CompletedProcess:
+def run_program(*argv: str, flags=(), env=None) -> subprocess.CompletedProcess:
     """Run the program entry, ``python -m impactval.cli``, in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     return subprocess.run(
         [sys.executable, *flags, "-m", "impactval.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
@@ -700,6 +701,41 @@ def test_program_entry_writes_a_whole_csv_to_a_pipe():
     assert len(rows) == 2001
     assert proc.stdout.endswith("\n")
     assert all(len(row) == len(rows[0]) for row in rows)
+
+
+def test_report_reads_its_ini_as_utf8_in_an_ascii_locale(tmp_path):
+    assets = tmp_path / "a.ini"
+    assets.write_text("[café]\nsigma = 2%\nV = 1e6\nQ = 1e5\n", encoding="utf-8")
+    proc = run_program(
+        "report", str(assets), "--format", "json",
+        flags=("-X", "utf8=0"), env={"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [row["name"] for row in json.loads(proc.stdout)] == ["café"]
+
+
+@pytest.mark.parametrize(
+    "command", ["value", "trajectory", "critical", "bankruptcy", "report", "estimate"]
+)
+def test_program_entry_names_the_encoding_of_every_file(command, tmp_path):
+    # -X warn_default_encoding warns wherever a file is opened in the locale's encoding.
+    params, assets, series = tmp_path / "params.ini", tmp_path / "a.ini", tmp_path / "series.csv"
+    ImpactParams(Y=1.0, sigma=0.02, V=1e6).save(params)
+    assets.write_text("[café]\nsigma = 2%\nV = 1e6\nQ = 1e5\n", encoding="utf-8")
+    gaussian_series_csv(series)
+    argv = {
+        "value": ["--Q", "1e6", "--p0", "10", "--params", str(params)],
+        "trajectory": ["--lambda0", "9", "--impact", "0.1", "--grid", "11"],
+        "critical": ["--lambda0", "9", "--impact", "0.1"],
+        "bankruptcy": ["--lambda0", "9", "--eta", "10", "--impact-grid", "0.1:0.2:3",
+                       "--trials", "20"],
+        "report": [str(assets), "--format", "csv"],
+        "estimate": [str(series)],
+    }[command]
+    out = tmp_path / "out"
+    proc = run_program(command, *argv, "--out", str(out), flags=("-X", "warn_default_encoding"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.stat().st_size > 0
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):

@@ -1,5 +1,6 @@
 """Tests for stochastic liquidation paths and bankruptcy probabilities."""
 
+import argparse
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from impactval import montecarlo
+from impactval import leverage, montecarlo
+from impactval.cli import main, parse_grid
 from impactval.impact import ImpactParams
 from impactval.montecarlo import (
     _BATCH,
@@ -327,7 +329,7 @@ def test_memory_budget_admits_long_horizon_grid(monkeypatch):
     # horizons to 10240 days, 1000 trials) fits in a quarter of the budget.
     horizons = [round((c / 0.01) ** 2 / 0.1) for c in np.linspace(0.0, 0.32, 17)[1:]]
     assert max(horizons) == 10240
-    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", 2**30 // 4)
+    monkeypatch.setattr(leverage, "MEMORY_BUDGET_BYTES", 2**30 // 4)
     _check_memory(horizons, 1000)
     with pytest.raises(ValueError):
         _check_memory(horizons + [4 * 10240], 1000)
@@ -618,7 +620,7 @@ def test_transition_curve_negative_price_warning(noise_sigma, grid):
 def test_memory_budget_charges_each_grid_point(monkeypatch):
     # At 1 MiB, 700 one-day points fit and 900 do not: their Python objects,
     # not their arrays, fill the budget, so the message names the grid.
-    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", 2**20)
+    monkeypatch.setattr(leverage, "MEMORY_BUDGET_BYTES", 2**20)
     _check_memory([1] * 700, 1)
     with pytest.raises(ValueError, match="^a 900-point grid needs"):
         _check_memory([1] * 900, 1)
@@ -636,11 +638,26 @@ def test_memory_budget_charges_the_decision_of_short_horizons(monkeypatch):
     # Ten 1-day points at 512 trials a batch: the AT_END decision holds their
     # totals and margins, two (512, 10) matrices, wider than the one-day walk.
     need = 10 * montecarlo.CURVE_POINT_BYTES + 8 * (2 * 10 + 1 + 5 * 512 + 2 * 512 * 10)
-    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", need)
+    monkeypatch.setattr(leverage, "MEMORY_BUDGET_BYTES", need)
     _check_memory([1] * 10, 512)
-    monkeypatch.setattr(montecarlo, "_MEMORY_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(leverage, "MEMORY_BUDGET_BYTES", need - 1)
     with pytest.raises(ValueError, match="^a 1-day horizon needs"):
         _check_memory([1] * 10, 512)
+
+
+def test_one_memory_budget_governs_every_check(monkeypatch, capsys):
+    # Each of these fits the 1 GiB budget; patched once to 1 MiB, the CLI's
+    # grid checks and both Monte Carlo entry points refuse at that budget.
+    monkeypatch.setattr(leverage, "MEMORY_BUDGET_BYTES", 2**20)
+    over = r"needs [0-9.e-]+ GiB of memory, over the 0\.000977 GiB budget$"
+    with pytest.raises(argparse.ArgumentTypeError, match="^a 1000-point grid " + over):
+        parse_grid("0:0.3:1000")
+    assert main(["trajectory", "--lambda0", "9", "--impact", "0.1", "--grid", "3000"]) == 1
+    assert capsys.readouterr().err.startswith("error: a 3000-point grid needs")
+    with pytest.raises(ValueError, match="^a 900-point grid " + over):
+        transition_curve(9.0, 10.0, [0.1] * 900, n_trials=1, master_seed=0)
+    with pytest.raises(ValueError, match="^a 100-day horizon " + over):
+        bankruptcy_probability(make_config(9.0, 0.15, 100, n_trials=512))
 
 
 def _drift_free(config):
@@ -802,6 +819,17 @@ def test_transition_curve_matches_per_point_loop_in_runs(mode, noise_sigma, monk
     # 125 points of 1 to 10 days, decided in runs of montecarlo._RUN points,
     # at a volatility where a 10-day walk can bankrupt a trial without impact.
     _check_per_point_loop(mode, noise_sigma, 161, 4.0, 0.05, 125, 2, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("mode", list(BankruptcyMode))
+@pytest.mark.parametrize("noise_sigma", [None, 0.4])
+def test_transition_curve_matches_per_point_loop_in_runs_past_run_days(
+    mode, noise_sigma, monkeypatch
+):
+    # 100 points of 1 to 256 days: the runs stay _RUN points wide where the
+    # longest horizon is wider than that.
+    _check_per_point_loop(mode, noise_sigma, 105, 1.0, 0.02, 100, 2, monkeypatch)
 
 
 @pytest.mark.parametrize("column", [0, 1], ids=["impact", "no impact"])
