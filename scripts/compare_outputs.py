@@ -15,7 +15,8 @@ Both sides run the same cases, each in its own interpreter:
   stdout, stderr and the ``--out`` file are compared;
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
   on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
-  two-day points, on 100 points of 1 to 256 days and on random
+  two-day points, on 100 points of 1 to 256 days, at noise_sigma 1e300
+  and 1e308 (where the walk overflows) in both modes and on random
   configurations (both modes, noise_sigma None, 0 and random, 1 to 2000
   trials), with the warnings each one raised.
 
@@ -153,6 +154,14 @@ def curve_configs() -> list[tuple[str, tuple, dict]]:
          {"sigma": 0.01}),
         ("past-run-days", (9.0, 1.0, [0.32 * i / 104 for i in range(105)], 2_000, 6),
          {"sigma": 0.02}),
+    ]
+    # Walks near the float maximum, and past it, where no AT_END point is
+    # decided from the totals.
+    configs += [
+        (f"noise-{noise:g}-{mode}", (9.0, 10.0, grid, 1_000, 8),
+         {"sigma": 0.01, "bankruptcy_mode": mode, "noise_sigma": noise})
+        for noise in (1e300, 1e308)
+        for mode in ("AT_END", "ANYWHERE_ON_PATH")
     ]
     rng = random.Random(20261018)
     for i in range(RANDOM_CONFIGS):

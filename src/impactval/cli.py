@@ -290,7 +290,7 @@ def _report_rows(config_path: str):
     config = configparser.ConfigParser(interpolation=None)
     config.optionxform = str  # V and v are distinct keys
     try:
-        read = config.read(config_path, encoding="utf-8")
+        read = config.read(config_path, encoding="utf-8-sig")
     except configparser.Error as exc:
         detail = "; ".join(line.strip() for line in exc.message.splitlines())
         raise ValueError(f"cannot parse asset config {config_path!r}: {detail}") from None
@@ -497,6 +497,7 @@ def run() -> None:
     and the command leave behind.  main() never freezes, because tests and
     the benchmark call it in-process.
     """
+    sys.stdout.reconfigure(encoding="utf-8")  # on any locale, as every file the CLI writes
     code = main()
     gc.freeze()
     sys.exit(code)

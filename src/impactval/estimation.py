@@ -134,7 +134,7 @@ def load_series(path: str | Path) -> MarketSeries:
     from datetime import date
 
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

@@ -114,7 +114,7 @@ class ImpactParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "ImpactParams":
-        return cls.from_config_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_config_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)

@@ -268,19 +268,20 @@ _MARGIN_FACTOR = 4.0
 
 
 def _end_counts(
-    run: "list[_Liquidation]", prefix: np.ndarray, mag: np.ndarray, p0: "float | None" = None
+    run: "list[_Liquidation]", prefix: np.ndarray, mag: float, p0: "float | None" = None
 ) -> "list[int]":
     """Bankrupt trials of one batch at each point of a run; -1 where the totals do not decide.
 
-    prefix holds each trial's running sums of its walk offsets and mag a
-    bound on the trial's |offset|.  The direct test rounds each det +
+    prefix holds each trial's running sums of its walk offsets and mag the
+    largest |offset| in the batch.  The direct test rounds each det +
     offset and sums the row; the total here sums the offsets and det apart
     (det_sum, det_abs: the sum of det and of |det|).  Each sum is off from
     the exact one by at most about (n_days + 1) * eps/2 * (sum |det| +
     n_days * mag) (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, section 4.2), and comparing delta_q * total with L rather than
-    total with L / delta_q moves the threshold by about eps * |L / delta_q|.
-    Where every trial of a point lies farther from the threshold than
+    2002, section 4.2), a bound that holds for any mag at least as large as
+    the trial's own, and comparing delta_q * total with L rather than total
+    with L / delta_q moves the threshold by about eps * |L / delta_q|.
+    Where the trial nearest a point's threshold lies farther from it than
     _MARGIN_FACTOR times the sum of these, both decide alike and the count
     is taken from the totals; otherwise the point needs the direct test.
     With p0, det is the no-impact prices, n_days copies of p0, whose
@@ -297,12 +298,9 @@ def _end_counts(
     counts = np.count_nonzero(total < threshold, axis=0)
     total -= threshold
     np.abs(total, out=total)
-    margin = np.multiply.outer(mag, days)
-    margin += det_abs
-    margin += threshold
-    margin *= _MARGIN_FACTOR * (days + 4) * _EPS
+    margin = _MARGIN_FACTOR * (days + 4) * _EPS * (mag * days + det_abs + threshold)
     # Written so that a nan total, threshold or margin leaves its point undecided.
-    decided = (total > margin).all(axis=0)
+    decided = total.min(axis=0) > margin
     return np.where(decided, counts, -1).tolist()
 
 
@@ -313,15 +311,15 @@ _BATCH = 512
 # test holds the walk, the point's prices, the no-impact prices, the running
 # proceeds and one product.  AT_END holds the walk and its prefix sums
 # throughout, and beside them at most three more: while it decides a run of
-# points, the run's totals and their margins (one column per point) and the
-# last point's prices; then, for each point, its prices and its no-impact
+# points, the run's totals and their bankrupt mask (one column per point) and
+# the last point's prices; then, for each point, its prices and its no-impact
 # prices (each only where the direct test or the negative-price count needs
 # it); and while the next batch is drawn, the last point's prices and the new
 # noise matrix.
 _BATCH_ARRAYS = 5
-# Grid points the AT_END decision takes at once.  On 2000 two-day points (10k
-# trials, 2-core VM), widths 64 to 256 ran alike, 16 took 30% longer and 2000
-# twice as long.
+# Grid points the AT_END decision takes at once, which bounds its totals on an
+# 800k-point grid.  On 2000 two-day points (10k trials, 2-core VM) widths 64
+# and 256 took 0.34-0.49 s, 2000 took 0.39-0.59 s and 16 took 0.50-0.66 s.
 _RUN = 64
 
 
@@ -332,12 +330,12 @@ def _check_memory(horizons: "list[int]", n_trials: int) -> None:
     liquidation keeps two float vectors of its horizon (noise-free prices
     and shares held); one trial's normals are drawn into a vector of the
     longest horizon, and the batch loop holds _BATCH_ARRAYS float matrices
-    of (trials per batch, longest horizon).  The AT_END decision's totals
-    and margins are two matrices of (trials per batch, up to _RUN points).
-    From a horizon of _RUN days on they are no wider than the walk and
-    count among those matrices; below it they can be wider, so only then
-    are they charged on their own.  The message names the grid size or the
-    longest horizon, whichever needs more.
+    of (trials per batch, longest horizon).  The AT_END decision holds a
+    run's totals and their bankrupt mask, within two matrices of (trials per
+    batch, up to _RUN points).  From a horizon of _RUN days on they are no
+    wider than the walk and count among those matrices; below it they can be
+    wider, so only then are they charged on their own.  The message names
+    the grid size or the longest horizon, whichever needs more.
     """
     horizon = max(horizons)
     points = CURVE_POINT_BYTES * len(horizons)
@@ -398,9 +396,10 @@ def _simulate(
     AT_END takes one prefix sum of the walk per batch and decides the
     points _RUN at a time from the trials' running totals, where each
     total is clear of the threshold by more than any rounding could move it
-    (_end_counts).  A point with any trial that is not runs the direct test
-    on the batch, the impact and no-impact columns each on their own.
-    Either way each count is the direct test's count.
+    (_end_counts).  Any other point, and every point of a batch whose walk
+    is not finite, runs the direct test on the batch, the impact and
+    no-impact columns each on their own.  Either way each count is the
+    direct test's count.
     """
     horizon = max(len(liq.det) for liq in liquidations)
     if noise_scale > 0.0:
@@ -413,12 +412,11 @@ def _simulate(
     test = _end_bankrupt if at_end else _path_bankrupt
     tallies = [_Tally() for _ in liquidations]
     for weight, walk in batches:
-        row_min = walk.min(axis=1)
-        lowest = float(row_min.min())
+        lowest = float(walk.min())
         prefix = None  # freed before the next sums are built, which measured faster
         if at_end:
             prefix = np.cumsum(walk, axis=1)
-            mag = np.maximum(walk.max(axis=1), -row_min)
+            mag = max(float(walk.max()), -lowest)
         for lo in range(0, len(liquidations), _RUN):
             run = liquidations[lo : lo + _RUN]
             counts = counts_noimpact = [-1] * len(run)

@@ -650,7 +650,7 @@ def run_program(*argv: str, flags=(), env=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     return subprocess.run(
         [sys.executable, *flags, "-m", "impactval.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, encoding="utf-8", timeout=120,
     )
 
 
@@ -712,6 +712,47 @@ def test_report_reads_its_ini_as_utf8_in_an_ascii_locale(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert [row["name"] for row in json.loads(proc.stdout)] == ["café"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_program_entry_writes_utf8_in_an_ascii_locale(fmt, tmp_path):
+    # In the C locale Python's stdout is ASCII; the program entry writes UTF-8
+    # there too, so a non-ASCII asset name prints whole and the run exits 0.
+    assets = tmp_path / "a.ini"
+    assets.write_text("[café]\nsigma = 2%\nV = 1e6\nQ = 1e5\n", encoding="utf-8")
+    proc = run_program(
+        "report", str(assets), "--format", fmt,
+        flags=("-X", "utf8=0"), env={"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "café" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["value", "report", "estimate"])
+def test_readers_skip_a_byte_order_mark(command, tmp_path, capsys):
+    # Spreadsheets may start a UTF-8 file with a byte-order mark: each reader
+    # gives the same output for such a file as for the same file without it.
+    source = tmp_path / "source"
+    if command == "value":
+        ImpactParams(Y=1.0, sigma=0.02, V=1e6, S=1e-3, v=1e4, b=0.7).save(source)
+    elif command == "report":
+        source.write_text("[café]\nsigma = 2%\nV = 1e6\nQ = 1e5\n", encoding="utf-8")
+    else:
+        gaussian_series_csv(source)
+    text = source.read_text(encoding="utf-8")
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / name
+        path.write_text(prefix + text, encoding="utf-8")
+        argv = {
+            "value": ["value", "--Q", "1e6", "--p0", "10", "--params", str(path)],
+            "report": ["report", str(path), "--format", "csv"],
+            "estimate": ["estimate", str(path)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

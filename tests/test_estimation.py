@@ -285,8 +285,9 @@ def test_load_series_reads_rows_as_dict_reader_did(tmp_path):
     [
         ("date,close,volume\n2024-01-01,100.0\n", "row 1: non-numeric volume value None"),
         ("close,volume,date\n100.0,1e6\n", "row 1: bad date None"),
+        ("\ufeffclose,volume,date\n100.0,1e6\n", "row 1: bad date None"),
     ],
-    ids=["volume", "date"],
+    ids=["volume", "date", "date-after-a-byte-order-mark"],
 )
 def test_load_series_short_row_names_the_missing_cell(tmp_path, text, message):
     with pytest.raises(ValueError, match=message):

@@ -721,6 +721,33 @@ def test_at_end_debt_outside_the_normal_range(calI, L):
         assert 0 < tally.bankrupt < n_trials
 
 
+@pytest.mark.parametrize("mode", list(BankruptcyMode))
+def test_a_batch_whose_walk_is_not_finite_runs_the_direct_test(mode, monkeypatch):
+    # At noise_sigma = 1e308 most walks overflow to +-inf and their prefix
+    # sums to nan, so no batch has a finite bound on |offset|.  AT_END must
+    # leave every point of every batch undecided, the 1-day point included,
+    # whose walks are mostly finite; every count is then the direct test's.
+    n_trials, seed, step, sigma, V = 600, 4242, 1e308, 0.02, 1e6
+    params = ImpactParams(Y=1.0, sigma=sigma, V=V)
+    liquidations = []
+    for cal_i, n_days in ((0.02, 1), (0.05, 2), (0.1, 10), (0.3, 22)):
+        Q = (cal_i / sigma) ** 2 * V
+        position = Position(Q=Q, p0=1.0, L=Q * (1.0 - 1.0 / 9.0))
+        liquidations.append(montecarlo._liquidation(position, params, Q / n_days, n_days))
+    calls = _spy_end_counts(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        tallies = montecarlo._simulate(liquidations, mode, 1.0, step, n_trials, seed, noimpact=True)
+        counts = _parent_counts(liquidations, mode, 1.0, step, n_trials, seed)
+    for tally, count in zip(tallies, counts):
+        assert [tally.bankrupt, tally.bankrupt_noimpact, tally.negative_trials] == count
+    assert any(0 < k < n_trials for count in counts for k in count[:2])
+    if mode is BankruptcyMode.AT_END:
+        assert [column for column, _ in calls] == [0, 1] * -(-n_trials // _BATCH)
+        assert all(run == [-1] * len(liquidations) for _, run in calls)
+    else:
+        assert calls == []
+
+
 def _parent_bankrupt(mode, liq, daily):
     """The direct bankruptcy test of the per-point loop, for either mode."""
     if mode is BankruptcyMode.AT_END:
