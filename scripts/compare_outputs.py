@@ -16,9 +16,15 @@ Both sides run the same cases, each in its own interpreter:
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
   on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
   two-day points, on 100 points of 1 to 256 days, at noise_sigma 1e300
-  and 1e308 (where the walk overflows) in both modes and on random
-  configurations (both modes, noise_sigma None, 0 and random, 1 to 2000
-  trials), with the warnings each one raised.
+  and 1e308 (where the walk overflows and is refused) in both modes and on
+  random configurations (both modes, noise_sigma None, 0 and random, 1 to
+  2000 trials), with the warnings each one raised;
+- the ``repr`` of each public record as the library builds it: the
+  results of ``check_validity``, ``classify`` in both regimes,
+  ``bankruptcy_probability``, ``fit_transition``, ``load_series`` on a
+  small CSV and ``simulate_price_path``, a schedule from
+  ``LiquidationSchedule.from_participation`` and its ``MonteCarloConfig``,
+  and the error of each checked constructor on a bad field.
 
 The script prints each case that differs and exits 1 if any does.
 """
@@ -202,6 +208,57 @@ def curve_records() -> dict:
     return records
 
 
+def library_records(work: Path) -> dict:
+    """repr of each public record as the library builds it, or of its constructor's error."""
+    from datetime import date
+
+    from impactval import estimation, impact, leverage, valuation
+    from impactval import montecarlo as mc
+
+    series = work / "small-series.csv"
+    series.write_text(
+        "date,close,volume,spread\n2024-01-02,10.5,1e6,0.001\n2024-01-03,10.25,2e6,0.002\n",
+        encoding="utf-8",
+    )
+    params = impact.ImpactParams(Y=1.0, sigma=0.02, V=1e6, S=1e-3, v=1e4, b=0.7, phi=5e3)
+    position = valuation.Position(Q=1e5, p0=10.0, L=9.9e5)
+    schedule = mc.LiquidationSchedule.from_participation(Q=1e5, V=1e6, eta=0.01)
+    config = mc.MonteCarloConfig(position, params, schedule, n_trials=200, master_seed=3)
+    built = {
+        "params": lambda: params,
+        "position": lambda: position,
+        "validity": lambda: impact.check_validity(params, 1e5),
+        "validity-flagged": lambda: impact.check_validity(params, 1e9, schedule),
+        "classify-subcritical": lambda: leverage.classify(9.0, 0.1),
+        "classify-supercritical": lambda: leverage.classify(9.0, 0.3),
+        "schedule": lambda: schedule,
+        "config": lambda: config,
+        "bankruptcy-probability": lambda: mc.bankruptcy_probability(config),
+        "fit-transition": lambda: mc.fit_transition(
+            [0.05, 0.1, 0.15, 0.2, 0.25], [0.02, 0.2, 0.5, 0.8, 0.98]
+        ),
+        "load-series": lambda: estimation.load_series(series),
+        "policy": lambda: estimation.EstimationPolicy(window_days=20),
+        "price-path": lambda: mc.simulate_price_path(config, 4),
+        "bad-params": lambda: impact.ImpactParams(Y=1.0, sigma=0.02, V=0.0),
+        "bad-position": lambda: valuation.Position(Q=1.0, p0=-1.0),
+        "bad-series": lambda: estimation.MarketSeries(
+            [date(2024, 1, 2), date(2024, 1, 1)], [1.0, 2.0], [1.0, 1.0]
+        ),
+        "bad-policy": lambda: estimation.EstimationPolicy(halflife_days=0),
+        "bad-schedule": lambda: mc.LiquidationSchedule(Q=1.0, delta_q=-1.0, V=1.0),
+        "bad-config": lambda: mc.MonteCarloConfig(position, params, schedule, 200, -1),
+    }
+    records = {}
+    for name, build in built.items():
+        try:
+            result = repr(build())
+        except ValueError as exc:
+            result = f"ValueError: {exc}"
+        records[f"record {name}"] = result
+    return records
+
+
 def emit(work: Path) -> None:
     """Print every record of the tree on PYTHONPATH as one JSON object."""
     import impactval
@@ -211,6 +268,7 @@ def emit(work: Path) -> None:
         raise SystemExit(f"error: impactval loads from {impactval.__file__}, not from {source}")
     records = cli_records(work)
     records.update(curve_records())
+    records.update(library_records(work))
     json.dump(records, sys.stdout)
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .impact import ImpactParams
 
@@ -23,50 +22,83 @@ REQUIRED_COLUMNS = ("date", "close", "volume")
 OPTIONAL_COLUMNS = ("spread", "best_quote_volume")
 
 
-@dataclass(frozen=True)
 class MarketSeries:
-    """Daily market data, oldest first; columns are float sequences (lists or arrays)."""
+    """Daily market data, oldest first; columns are float sequences (lists or arrays).
 
-    dates: list[date]
-    close: Sequence[float]
-    volume: Sequence[float]
-    spread: Sequence[float] | None = None
-    best_quote_volume: Sequence[float] | None = None
+    Immutable: assigning or deleting a column raises AttributeError.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.dates)
-        for name in ("close", "volume", "spread", "best_quote_volume"):
-            col = getattr(self, name)
+    __slots__ = ("dates", "close", "volume", "spread", "best_quote_volume")
+
+    def __init__(
+        self,
+        dates: list[date],
+        close: Sequence[float],
+        volume: Sequence[float],
+        spread: Sequence[float] | None = None,
+        best_quote_volume: Sequence[float] | None = None,
+    ) -> None:
+        columns = (dates, close, volume, spread, best_quote_volume)
+        for name, col in zip(self.__slots__, columns):
+            object.__setattr__(self, name, col)
+        n = len(dates)
+        for name, col in zip(self.__slots__[1:], columns[1:]):
             if col is not None and len(col) != n:
                 raise ValueError(f"column {name!r} has length {len(col)}, expected {n}")
         for i in range(1, n):
-            if self.dates[i] <= self.dates[i - 1]:
+            if dates[i] <= dates[i - 1]:
                 raise ValueError(f"dates must be strictly increasing; violation at row {i + 1}")
-        for name in ("close", "volume", "spread", "best_quote_volume"):
-            col = getattr(self, name)
+        for name, col in zip(self.__slots__[1:], columns[1:]):
             for row, value in enumerate(() if col is None else col, start=1):
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite {name} at row {row}")
                 if value <= 0 and name in ("close", "volume"):
                     raise ValueError(f"non-positive {name} at row {row}")
 
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy through the checked constructor
+        return type(self), self._columns()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self) -> int:
+        return hash(self._columns())
+
     def __len__(self) -> int:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class EstimationPolicy:
+class _EstimationPolicy(NamedTuple):
+    window_days: int = 126
+    exclusion_days: int = 5
+    halflife_days: int = 63
+
+
+class EstimationPolicy(_EstimationPolicy):
     """How far back to look and how quickly to forget.
 
     Defaults encode roughly six months of trading history with the most
     recent week excluded.
     """
 
-    window_days: int = 126
-    exclusion_days: int = 5
-    halflife_days: int = 63
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.window_days < 1:
             raise ValueError(f"window_days must be >= 1, got {self.window_days}")
         if not 0 <= self.exclusion_days < self.window_days:

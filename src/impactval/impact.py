@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .montecarlo import LiquidationSchedule
@@ -34,8 +33,19 @@ class Validity(Enum):
     WARN_LARGE_PARTICIPATION = "WARN_LARGE_PARTICIPATION"
 
 
-@dataclass(frozen=True)
-class ImpactParams:
+# A NamedTuple class may not define __init__, so each checked record is a
+# NamedTuple of its fields and a subclass whose __init__ checks them.
+class _ImpactParams(NamedTuple):
+    Y: float
+    sigma: float
+    V: float
+    S: float | None = None
+    v: float | None = None
+    b: float | None = None
+    phi: float | None = None
+
+
+class ImpactParams(_ImpactParams):
     """Liquidity/impact coefficients for one asset.
 
     Attributes:
@@ -48,17 +58,10 @@ class ImpactParams:
         phi: transactions per day (optional)
     """
 
-    Y: float
-    sigma: float
-    V: float
-    S: float | None = None
-    v: float | None = None
-    b: float | None = None
-    phi: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("Y", "sigma", "V", "S", "v", "b", "phi"):
-            value = getattr(self, name)
+    def __init__(self, *args, **kwargs) -> None:
+        for name, value in zip(self._fields, self):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.Y < 0:
@@ -88,7 +91,7 @@ class ImpactParams:
 
     @classmethod
     def from_config_text(cls, text: str) -> "ImpactParams":
-        known = {"Y", "sigma", "V", "S", "v", "b", "phi"}
+        known = set(cls._fields)
         values: dict[str, float] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -117,8 +120,7 @@ class ImpactParams:
         return cls.from_config_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """Domain-of-validity flags for the square-root law. Never blocks computation."""
 
     impact: float

@@ -23,8 +23,8 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,14 @@ class BankruptcyMode(Enum):
     ANYWHERE_ON_PATH = "ANYWHERE_ON_PATH"
 
 
-@dataclass(frozen=True)
-class LiquidationSchedule:
+# Checked records subclass a NamedTuple of their fields (see impact.ImpactParams).
+class _LiquidationSchedule(NamedTuple):
+    Q: float
+    delta_q: float
+    V: float
+
+
+class LiquidationSchedule(_LiquidationSchedule):
     """Uniform execution plan: sell delta_q shares per day out of Q total.
 
     T = Q / delta_q days and eta = delta_q / V (the participation rate)
@@ -47,13 +53,10 @@ class LiquidationSchedule:
     exactly.
     """
 
-    Q: float
-    delta_q: float
-    V: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("Q", "delta_q", "V"):
-            value = getattr(self, name)
+    def __init__(self, *args, **kwargs) -> None:
+        for name, value in zip(self._fields, self):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.T == math.inf:
@@ -72,10 +75,7 @@ class LiquidationSchedule:
         return cls(Q=Q, delta_q=eta * V, V=V)
 
 
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    """One liquidation to simulate: position, impact, schedule, trials and seed."""
-
+class _MonteCarloConfig(NamedTuple):
     position: Position
     params: ImpactParams
     schedule: LiquidationSchedule
@@ -85,7 +85,13 @@ class MonteCarloConfig:
     # None -> background noise at params.sigma; 0.0 gives the deterministic path.
     noise_sigma: float | None = None
 
-    def __post_init__(self) -> None:
+
+class MonteCarloConfig(_MonteCarloConfig):
+    """One liquidation to simulate: position, impact, schedule, trials and seed."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         _check_seed(self.master_seed)
@@ -112,8 +118,7 @@ def _check_noise_sigma(noise_sigma: float | None) -> None:
         raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     """Bankruptcy probability of one configuration, with its standard error."""
 
     p_bankrupt: float
@@ -122,8 +127,7 @@ class MonteCarloResult:
     negative_price_trials: int
 
 
-@dataclass(frozen=True)
-class PricePath:
+class PricePath(NamedTuple):
     """One simulated liquidation: daily prices and total proceeds for a single trial."""
 
     prices: np.ndarray  # length T+1, prices[0] = p0
@@ -131,8 +135,7 @@ class PricePath:
     negative_steps: int
 
 
-@dataclass(frozen=True)
-class TransitionPoint:
+class TransitionPoint(NamedTuple):
     """One calI of a transition curve: bankruptcy probability with and without impact."""
 
     calI: float
@@ -144,8 +147,7 @@ class TransitionPoint:
     negative_price_trials: int = 0
 
 
-@dataclass(frozen=True)
-class FittedTransition:
+class FittedTransition(NamedTuple):
     """Probit fit p = Phi(slope * (calI - center)) to a transition curve."""
 
     center: float
@@ -176,8 +178,7 @@ def _noise_scale(sigma: float, noise_sigma: float | None) -> float:
     return sigma if noise_sigma is None else noise_sigma
 
 
-@dataclass(frozen=True)
-class _Liquidation:
+class _Liquidation(NamedTuple):
     """One liquidation as the kernel tests it: noise-free prices, schedule, debt, AT_END terms."""
 
     det: np.ndarray  # noise-free daily prices p0 * (1 - I(s(t))) for t = 1..T
@@ -234,14 +235,13 @@ def simulate_price_path(config: MonteCarloConfig, trial_index: int) -> PricePath
     )
 
 
-@dataclass
 class _Tally:
     """Counts over all trials for one liquidation."""
 
-    bankrupt: int = 0
-    bankrupt_noimpact: int = 0
-    negative_trials: int = 0
-    negative_steps: int = 0
+    __slots__ = ("bankrupt", "bankrupt_noimpact", "negative_trials", "negative_steps")
+
+    def __init__(self) -> None:
+        self.bankrupt = self.bankrupt_noimpact = self.negative_trials = self.negative_steps = 0
 
 
 def _path_bankrupt(liq: _Liquidation, daily: np.ndarray) -> np.ndarray:
@@ -371,7 +371,8 @@ def _cumulative_noise(master_seed: int, n_trials: int, horizon: int, step: float
             bitgen.state = state
             draw(out=row)
         np.cumsum(noise, axis=1, out=noise)
-        noise *= step
+        with np.errstate(over="ignore"):  # _simulate refuses a walk that overflows
+            noise *= step
         yield noise
 
 
@@ -396,10 +397,11 @@ def _simulate(
     AT_END takes one prefix sum of the walk per batch and decides the
     points _RUN at a time from the trials' running totals, where each
     total is clear of the threshold by more than any rounding could move it
-    (_end_counts).  Any other point, and every point of a batch whose walk
-    is not finite, runs the direct test on the batch, the impact and
-    no-impact columns each on their own.  Either way each count is the
-    direct test's count.
+    (_end_counts).  Any other point runs the direct test on the batch, the
+    impact and no-impact columns each on their own.  Either way each count
+    is the direct test's count.  A batch whose walk overflows (a noise
+    level near the float maximum) raises ValueError: its prices would be
+    infinite or nan, and its counts would describe the overflow.
     """
     horizon = max(len(liq.det) for liq in liquidations)
     if noise_scale > 0.0:
@@ -413,10 +415,14 @@ def _simulate(
     tallies = [_Tally() for _ in liquidations]
     for weight, walk in batches:
         lowest = float(walk.min())
+        mag = max(float(walk.max()), -lowest)
+        if not mag < math.inf:
+            raise ValueError(
+                f"the random walk overflows at a daily noise level of {noise_scale!r}"
+            )
         prefix = None  # freed before the next sums are built, which measured faster
         if at_end:
             prefix = np.cumsum(walk, axis=1)
-            mag = max(float(walk.max()), -lowest)
         for lo in range(0, len(liquidations), _RUN):
             run = liquidations[lo : lo + _RUN]
             counts = counts_noimpact = [-1] * len(run)

@@ -9,13 +9,19 @@ whenever impact is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .impact import ImpactParams, expected_impact
 
 
-@dataclass(frozen=True)
-class Position:
+class _Position(NamedTuple):
+    Q: float
+    p0: float
+    L: float = 0.0
+    E0: float | None = None
+
+
+class Position(_Position):
     """A leveraged holding of a single asset.
 
     Attributes:
@@ -26,14 +32,10 @@ class Position:
         E0: initial equity; defaults to Q * p0 - L for a fully entered position
     """
 
-    Q: float
-    p0: float
-    L: float = 0.0
-    E0: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("Q", "p0", "L", "E0"):
-            value = getattr(self, name)
+    def __init__(self, *args, **kwargs) -> None:
+        for name, value in zip(self._fields, self):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.Q < 0:

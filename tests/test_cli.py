@@ -361,6 +361,9 @@ def test_bankruptcy_bad_grid_exit_2(capsys):
         # A one-day horizon whose position size overflows names calI, Y and sigma.
         (["--eta", "1e303", "--impact-grid", "6.4e149:6.4e149:1", "--trials", "10", "--sigma", "2%"],
          "calI=6.4e+149 needs an infinite position size at Y=1.0, sigma=0.02"),
+        # A noise level whose random walk overflows is refused, without numpy's warnings.
+        (["--eta", "10", "--sigma", "1%", "--impact-grid", "0.1:0.3:3", "--trials", "200",
+          "--noise-sigma", "1e308"], "the random walk overflows at a daily noise level of 1e+308"),
     ],
 )
 def test_bankruptcy_bad_horizon_exit_1(flags, message, capsys):

@@ -61,11 +61,11 @@ def test_ema_rejects_halflife_not_finite_and_positive(halflife):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^window_days must be >= 1, got 0$"):
         EstimationPolicy(window_days=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exclusion_days must lie in \[0, window_days\), got 10$"):
         EstimationPolicy(window_days=10, exclusion_days=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^halflife_days must be positive, got 0$"):
         EstimationPolicy(halflife_days=0)
 
 
@@ -143,15 +143,15 @@ def test_unit_sanity_with_expected_impact():
 
 
 def test_series_validation():
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(ValueError, match="^dates must be strictly increasing; violation at row 2$"):
         MarketSeries(
             dates=[date(2024, 1, 2), date(2024, 1, 1)],
             close=np.array([1.0, 2.0]),
             volume=np.array([1.0, 1.0]),
         )
-    with pytest.raises(ValueError, match="close"):
+    with pytest.raises(ValueError, match="^non-positive close at row 2$"):
         make_series([100.0, -3.0, 100.0])
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match="^column 'volume' has length 2, expected 3$"):
         MarketSeries(
             dates=trading_days(3),
             close=np.array([1.0, 2.0, 3.0]),

@@ -153,15 +153,15 @@ def test_check_validity_never_blocks():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Y must be non-negative, got -1\.0$"):
         ImpactParams(Y=-1.0, sigma=0.02, V=1e6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sigma must be non-negative, got -0\.02$"):
         ImpactParams(Y=1.0, sigma=-0.02, V=1e6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^V must be positive, got 0\.0$"):
         ImpactParams(Y=1.0, sigma=0.02, V=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^S must be positive when given, got -0\.0001$"):
         ImpactParams(Y=1.0, sigma=0.02, V=1e6, S=-1e-4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^phi must be positive when given, got 0\.0$"):
         ImpactParams(Y=1.0, sigma=0.02, V=1e6, phi=0.0)
 
 

@@ -59,20 +59,65 @@ def write_series(directory: Path) -> None:
     (directory / "series.csv").write_text("\n".join(lines) + "\n")
 
 
+def imported_modules(tree: ast.AST) -> list[str]:
+    """Absolute module names of every import statement in ``tree``."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
+
+
 def test_only_montecarlo_imports_numpy():
     package = Path(impactval.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
-                importers.add(path.name)
+        modules = imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            importers.add(path.name)
     assert importers == {"montecarlo.py"}
+
+
+def test_only_trajectory_point_uses_dataclasses():
+    # Every other record is a NamedTuple or a __slots__ class, so a command
+    # that does not import leverage loads neither dataclasses nor inspect.
+    package = Path(impactval.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    importers = {name for name, tree in trees.items() if "dataclasses" in imported_modules(tree)}
+    assert importers == {"leverage.py"}
+    tree = trees["leverage.py"]
+    (statement,) = [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "dataclasses" in imported_modules(node)]
+    assert isinstance(statement, ast.ImportFrom)
+    imported = {alias.asname or alias.name for alias in statement.names}
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in imported]
+    calls = sorted(ast.unparse(node) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and node.func in uses)
+    assert len(uses) == 2 and calls == ["dataclass(frozen=True)", "fields(TrajectoryPoint)"]
+    decorated = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.decorator_list]
+    assert decorated == ["TrajectoryPoint"]
+
+
+@pytest.mark.parametrize("command", [None, "value", "estimate"])
+def test_start_up_does_not_load_dataclasses_or_inspect(command, tmp_path):
+    write_series(tmp_path)
+    argv = [] if command is None else [*NUMPY_FREE_COMMANDS[command], "--out", "result"]
+    proc = run_fresh(
+        f"""
+        import sys
+        from impactval.cli import main
+        assert not {argv!r} or main({argv!r}) == 0
+        loaded = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+        assert not loaded, loaded
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_cli_does_not_load_numpy(tmp_path):

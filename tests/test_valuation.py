@@ -27,11 +27,11 @@ def params_with_impact(Q: float, calI: float, Y: float = 1.0) -> ImpactParams:
 
 
 def test_position_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Q must be non-negative, got -1\.0$"):
         Position(Q=-1.0, p0=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p0 must be positive, got 0\.0$"):
         Position(Q=1.0, p0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^L must be non-negative, got -1\.0$"):
         Position(Q=1.0, p0=1.0, L=-1.0)
 
 
