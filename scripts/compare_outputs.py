@@ -10,9 +10,10 @@ Both sides run the same cases, each in its own interpreter:
 
 - every command the benchmark workloads in ``bench/workloads.py`` send,
   and every subcommand in each of its formats, plus usage and data errors,
-  each memory-budget refusal, a warning and CSV and JSON written with
-  ``--out``, as ``python -m impactval.cli`` subprocesses: exit code,
-  stdout, stderr and the ``--out`` file are compared;
+  each memory-budget refusal, walks whose sums could overflow, a warning
+  and CSV and JSON written with ``--out``, as ``python -m impactval.cli``
+  subprocesses: exit code, stdout, stderr and the ``--out`` file are
+  compared;
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
   on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
   two-day points, on 100 points of 1 to 256 days, at noise_sigma 1e300
@@ -24,7 +25,8 @@ Both sides run the same cases, each in its own interpreter:
   ``bankruptcy_probability``, ``fit_transition``, ``load_series`` on a
   small CSV and ``simulate_price_path``, a schedule from
   ``LiquidationSchedule.from_participation`` and its ``MonteCarloConfig``,
-  and the error of each checked constructor on a bad field.
+  the error of each checked constructor on a bad field, each checked
+  record's ``inspect.signature`` and its ``_replace`` with a bad field.
 
 The script prints each case that differs and exits 1 if any does.
 """
@@ -67,6 +69,8 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
     position = ["--Q", "1e6", "--p0", "10", "--L", "5e6", "--sigma", "2%", "--V", "1e5"]
     curve = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0:0.3:7",
              "--trials", "300", "--sigma", "1%"]
+    overflow = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--sigma", "1%",
+                "--impact-grid", "0.1:0.3:3", "--trials", "200"]
     argvs = {
         "value-text": ["value", *position],
         "value-json": ["value", *position, "--format", "json"],
@@ -97,6 +101,10 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
                                 "--impact-grid", "0:1"],
         "bankruptcy-zero-trials": [*curve, "--trials", "0"],
         "bankruptcy-big-seed": [*curve, "--trials", "20", "--seed", str(2**128 - 1)],
+        # Finite walks whose sums could overflow, refused in both modes.
+        "bankruptcy-overflow-anywhere": [*overflow, "--noise-sigma", "1e300", "--mc-mode",
+                                         "anywhere"],
+        "bankruptcy-overflow-at-end": [*overflow, "--noise-sigma", "1e306"],
         "bankruptcy-grid-over-budget": ["bankruptcy", "--lambda0", "9", "--eta", "10",
                                         "--impact-grid", "0:0.3:1000000"],
         "bankruptcy-horizon-over-budget": ["bankruptcy", "--lambda0", "9", "--eta", "1e-9"],
@@ -210,6 +218,7 @@ def curve_records() -> dict:
 
 def library_records(work: Path) -> dict:
     """repr of each public record as the library builds it, or of its constructor's error."""
+    import inspect
     from datetime import date
 
     from impactval import estimation, impact, leverage, valuation
@@ -248,7 +257,15 @@ def library_records(work: Path) -> dict:
         "bad-policy": lambda: estimation.EstimationPolicy(halflife_days=0),
         "bad-schedule": lambda: mc.LiquidationSchedule(Q=1.0, delta_q=-1.0, V=1.0),
         "bad-config": lambda: mc.MonteCarloConfig(position, params, schedule, 200, -1),
+        "replace-params": lambda: params._replace(V=-1.0),
+        "replace-position": lambda: position._replace(L=-1.0),
+        "replace-policy": lambda: estimation.EstimationPolicy()._replace(window_days=0),
+        "replace-schedule": lambda: schedule._replace(delta_q=math.inf),
+        "replace-config": lambda: config._replace(master_seed=2**128),
     }
+    for cls in (impact.ImpactParams, valuation.Position, estimation.EstimationPolicy,
+                mc.LiquidationSchedule, mc.MonteCarloConfig):
+        built[f"signature-{cls.__name__}"] = lambda cls=cls: inspect.signature(cls)
     records = {}
     for name, build in built.items():
         try:

@@ -108,6 +108,9 @@ class EstimationPolicy(_EstimationPolicy):
         if self.halflife_days <= 0:
             raise ValueError(f"halflife_days must be positive, got {self.halflife_days}")
 
+    __init__.__wrapped__ = _EstimationPolicy.__new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
 
 def ema(values, halflife_days: float) -> float:
     """Exponentially weighted mean with explicit normalization.

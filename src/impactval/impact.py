@@ -34,7 +34,10 @@ class Validity(Enum):
 
 
 # A NamedTuple class may not define __init__, so each checked record is a
-# NamedTuple of its fields and a subclass whose __init__ checks them.
+# NamedTuple of its fields and a subclass whose __init__ checks them.  The
+# subclass points __init__.__wrapped__ at the NamedTuple's __new__, so that
+# inspect.signature (and help) show the fields, and builds _make, and with it
+# _replace, through the constructor, so that they run the checks too.
 class _ImpactParams(NamedTuple):
     Y: float
     sigma: float
@@ -79,6 +82,9 @@ class ImpactParams(_ImpactParams):
                 f"b={self.b} lies outside the typical range {B_TYPICAL_RANGE}",
                 stacklevel=2,
             )
+
+    __init__.__wrapped__ = _ImpactParams.__new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def to_config_text(self) -> str:
         """Render as a flat key-value config (decimal fractions, not percent)."""

@@ -62,6 +62,9 @@ class LiquidationSchedule(_LiquidationSchedule):
         if self.T == math.inf:
             raise ValueError(f"T = Q / delta_q must be finite, got Q={self.Q}, delta_q={self.delta_q}")
 
+    __init__.__wrapped__ = _LiquidationSchedule.__new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def T(self) -> float:
         return self.Q / self.delta_q
@@ -101,6 +104,9 @@ class MonteCarloConfig(_MonteCarloConfig):
             raise ValueError(f"schedule Q={schedule.Q} differs from position Q={self.position.Q}")
         if schedule.V != self.params.V:
             raise ValueError(f"schedule V={schedule.V} differs from params V={self.params.V}")
+
+    __init__.__wrapped__ = _MonteCarloConfig.__new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def _check_seed(master_seed: int) -> None:
@@ -217,6 +223,19 @@ def _liquidation(
     return _Liquidation(det, q_rem, delta_q, L, threshold, det_sum, det_abs, float(det.min()))
 
 
+def _without_impact(liquidations: "list[_Liquidation]", p0: float) -> "list[_Liquidation]":
+    """The same liquidations with the impact drift switched off: every noise-free price is p0.
+
+    The prices are views of one broadcast p0, one per horizon, and the
+    holdings are shared, so _check_memory's charges still hold.  n_days * p0
+    is the correctly rounded sum of n_days copies of p0, as fsum gives it.
+    """
+    horizons = {len(liq.det) for liq in liquidations}
+    prices = np.broadcast_to(p0, max(horizons))
+    fields = {n: dict(det=prices[:n], det_sum=n * p0, det_abs=n * p0, det_min=p0) for n in horizons}
+    return [liq._replace(**fields[len(liq.det)]) for liq in liquidations]
+
+
 def simulate_price_path(config: MonteCarloConfig, trial_index: int) -> PricePath:
     """Price path and proceeds for one trial, deterministic given (seed, index)."""
     n_days = _n_days(config.schedule)
@@ -238,10 +257,10 @@ def simulate_price_path(config: MonteCarloConfig, trial_index: int) -> PricePath
 class _Tally:
     """Counts over all trials for one liquidation."""
 
-    __slots__ = ("bankrupt", "bankrupt_noimpact", "negative_trials", "negative_steps")
+    __slots__ = ("bankrupt", "negative_trials", "negative_steps")
 
     def __init__(self) -> None:
-        self.bankrupt = self.bankrupt_noimpact = self.negative_trials = self.negative_steps = 0
+        self.bankrupt = self.negative_trials = self.negative_steps = 0
 
 
 def _path_bankrupt(liq: _Liquidation, daily: np.ndarray) -> np.ndarray:
@@ -267,12 +286,11 @@ _EPS = 2.0**-52
 _MARGIN_FACTOR = 4.0
 
 
-def _end_counts(
-    run: "list[_Liquidation]", prefix: np.ndarray, mag: float, p0: "float | None" = None
-) -> "list[int]":
+def _end_counts(terms: "list[np.ndarray]", prefix: np.ndarray, mag: float) -> "list[int]":
     """Bankrupt trials of one batch at each point of a run; -1 where the totals do not decide.
 
-    prefix holds each trial's running sums of its walk offsets and mag the
+    terms holds the run's n_days, threshold, det_sum and det_abs arrays,
+    prefix each trial's running sums of its walk offsets and mag the
     largest |offset| in the batch.  The direct test rounds each det +
     offset and sums the row; the total here sums the offsets and det apart
     (det_sum, det_abs: the sum of det and of |det|).  Each sum is off from
@@ -284,15 +302,8 @@ def _end_counts(
     Where the trial nearest a point's threshold lies farther from it than
     _MARGIN_FACTOR times the sum of these, both decide alike and the count
     is taken from the totals; otherwise the point needs the direct test.
-    With p0, det is the no-impact prices, n_days copies of p0, whose
-    correctly rounded sum is n_days * p0.
     """
-    days = np.array([len(liq.det) for liq in run])
-    threshold = np.array([liq.threshold for liq in run])
-    if p0 is None:
-        det_sum, det_abs = [liq.det_sum for liq in run], [liq.det_abs for liq in run]
-    else:
-        det_sum = det_abs = days * p0
+    days, threshold, det_sum, det_abs = terms
     total = prefix[:, days - 1]
     total += det_sum
     counts = np.count_nonzero(total < threshold, axis=0)
@@ -308,14 +319,13 @@ def _end_counts(
 _BATCH = 512
 
 # Float arrays of (batch, horizon) alive at once in _simulate.  The path-wise
-# test holds the walk, the point's prices, the no-impact prices, the running
+# test holds the walk, the point's prices and the last point's, the running
 # proceeds and one product.  AT_END holds the walk and its prefix sums
 # throughout, and beside them at most three more: while it decides a run of
 # points, the run's totals and their bankrupt mask (one column per point) and
-# the last point's prices; then, for each point, its prices and its no-impact
-# prices (each only where the direct test or the negative-price count needs
-# it); and while the next batch is drawn, the last point's prices and the new
-# noise matrix.
+# the last point's prices; then those and each point's own, built only where
+# the direct test or the negative-price count needs them; and while the next
+# batch is drawn, the last point's prices and the new noise matrix.
 _BATCH_ARRAYS = 5
 # Grid points the AT_END decision takes at once, which bounds its totals on an
 # 800k-point grid.  On 2000 two-day points (10k trials, 2-core VM) widths 64
@@ -383,27 +393,32 @@ def _simulate(
     noise_scale: float,
     n_trials: int,
     master_seed: int,
-    *,
-    noimpact: bool = False,
 ) -> list[_Tally]:
     """Bankruptcy and negative-price counts for each liquidation, on shared noise.
 
     Each trial's normals are drawn once, at the longest horizon, and every
     liquidation uses the prefix its own horizon needs; a prefix of a stream
     equals a shorter draw from it, so each count is what drawing per point
-    would give.  With noimpact, each trial is also tested with the impact
-    drift switched off (prices p0 plus the same noise).
+    would give.  The walk's daily step is p0 * noise_scale.
 
     AT_END takes one prefix sum of the walk per batch and decides the
     points _RUN at a time from the trials' running totals, where each
     total is clear of the threshold by more than any rounding could move it
-    (_end_counts).  Any other point runs the direct test on the batch, the
-    impact and no-impact columns each on their own.  Either way each count
-    is the direct test's count.  A batch whose walk overflows (a noise
-    level near the float maximum) raises ValueError: its prices would be
-    infinite or nan, and its counts would describe the overflow.
+    (_end_counts).  Any other point runs the direct test on the batch.
+    Either way each count is the direct test's count.
+
+    Impact only lowers a price, so with its offset every price is at most
+    p0 + mag or -det_min + mag in magnitude (mag the largest |offset| in the
+    batch).  A test sums n_days prices, or the proceeds and the holdings
+    (at most n_days * delta_q shares) times a price, so no sum exceeds twice
+    n_days * max(1, delta_q) * (that magnitude).  A batch that takes this
+    past half the float maximum raises ValueError: its sums could overflow,
+    or its walk already has, and its counts would describe the overflow.
     """
     horizon = max(len(liq.det) for liq in liquidations)
+    reach = max(len(liq.det) * max(1.0, liq.delta_q) for liq in liquidations)
+    size = max(p0, -min(liq.det_min for liq in liquidations))
+    limit = sys.float_info.max / (4.0 * reach) - size
     if noise_scale > 0.0:
         walks = _cumulative_noise(master_seed, n_trials, horizon, p0 * noise_scale)
         batches = ((1, walk) for walk in walks)
@@ -413,10 +428,15 @@ def _simulate(
     at_end = mode is BankruptcyMode.AT_END
     test = _end_bankrupt if at_end else _path_bankrupt
     tallies = [_Tally() for _ in liquidations]
+    # Each point's AT_END terms, gathered once rather than per batch.
+    terms = [np.array([len(liq.det) for liq in liquidations])] + [
+        np.array([getattr(liq, name) for liq in liquidations])
+        for name in ("threshold", "det_sum", "det_abs")
+    ]
     for weight, walk in batches:
         lowest = float(walk.min())
         mag = max(float(walk.max()), -lowest)
-        if not mag < math.inf:
+        if mag and not mag < limit:  # also an infinite or nan walk; never the noise-free one
             raise ValueError(
                 f"the random walk overflows at a daily noise level of {noise_scale!r}"
             )
@@ -425,30 +445,23 @@ def _simulate(
             prefix = np.cumsum(walk, axis=1)
         for lo in range(0, len(liquidations), _RUN):
             run = liquidations[lo : lo + _RUN]
-            counts = counts_noimpact = [-1] * len(run)
+            counts = [-1] * len(run)
             if at_end:
-                counts = _end_counts(run, prefix, mag)
-                if noimpact:
-                    counts_noimpact = _end_counts(run, prefix, mag, p0)
-            run_tallies = tallies[lo : lo + _RUN]
-            for liq, tally, k, k_noimpact in zip(run, run_tallies, counts, counts_noimpact):
-                n_days = len(liq.det)
-                offset = walk[:, :n_days]
-                # Rounding is monotone, so no price is below this sum rounded.  (Built
-                # before the last point's prices are freed: freeing them first
-                # fragmented the heap, 13 MB more peak RSS on a 10240-day grid.)
-                daily = liq.det + offset if lowest + liq.det_min <= 0.0 else None
-                if daily is not None:
-                    negative = (daily < 0).sum(axis=1)
-                    tally.negative_trials += weight * int((negative > 0).sum())
-                    tally.negative_steps += weight * int(negative.sum())
-                if k < 0:
-                    k = int(test(liq, liq.det + offset if daily is None else daily).sum())
+                counts = _end_counts([term[lo : lo + _RUN] for term in terms], prefix, mag)
+            for liq, tally, k in zip(run, tallies[lo : lo + _RUN], counts):
+                # Rounding is monotone, so no price is below this sum rounded.
+                negative = lowest + liq.det_min <= 0.0
+                if k < 0 or negative:
+                    # Built before the last prices are freed: freeing them first
+                    # fragmented the heap, 13 MB more peak RSS on a 10240-day grid.
+                    daily = liq.det + walk[:, : len(liq.det)]
+                    if negative:
+                        steps = (daily < 0).sum(axis=1)
+                        tally.negative_trials += weight * int((steps > 0).sum())
+                        tally.negative_steps += weight * int(steps.sum())
+                    if k < 0:
+                        k = int(test(liq, daily).sum())
                 tally.bankrupt += weight * k
-                if noimpact:
-                    if k_noimpact < 0:
-                        k_noimpact = int(test(liq, p0 + offset).sum())
-                    tally.bankrupt_noimpact += weight * k_noimpact
     return tallies
 
 
@@ -554,11 +567,11 @@ def transition_curve(
             Q = size * V
             position = Position(Q=Q, p0=p0, L=Q * p0 * (1.0 - 1.0 / lambda0))
             liquidations.append(_liquidation(position, params, Q / n_days, n_days))
+        liquidations += _without_impact(liquidations, p0)
         scale = _noise_scale(sigma, noise_sigma)
-        tallies = _simulate(
-            liquidations, bankruptcy_mode, p0, scale, n_trials, master_seed, noimpact=True
-        )
-    tallies = iter(tallies)
+        tallies = _simulate(liquidations, bankruptcy_mode, p0, scale, n_trials, master_seed)
+        del liquidations  # the points reuse their memory: the peak stays within CURVE_POINT_BYTES
+    pairs = zip(tallies[: len(feasible)], tallies[len(feasible) :])
     points = []
     for cal_i, n_days in zip(calI_grid, horizons):
         cal_i = float(cal_i)
@@ -567,13 +580,13 @@ def transition_curve(
         elif n_days < 1:
             point = TransitionPoint(cal_i, math.nan, math.nan, math.nan, feasible=False)
         else:
-            tally = next(tallies)
+            tally, no_impact = next(pairs)
             p, std_error = _estimate(tally, n_trials, n_days, f"calI={cal_i!r}: ")
             point = TransitionPoint(
                 cal_i,
                 p,
                 std_error=std_error,
-                p_bankrupt_noimpact=tally.bankrupt_noimpact / n_trials,
+                p_bankrupt_noimpact=no_impact.bankrupt / n_trials,
                 n_days=n_days,
                 negative_price_trials=tally.negative_trials,
             )

@@ -45,6 +45,9 @@ class Position(_Position):
         if self.L < 0:
             raise ValueError(f"L must be non-negative, got {self.L}")
 
+    __init__.__wrapped__ = _Position.__new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def mtm_value(self) -> float:
         return self.Q * self.p0

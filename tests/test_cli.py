@@ -364,6 +364,12 @@ def test_bankruptcy_bad_grid_exit_2(capsys):
         # A noise level whose random walk overflows is refused, without numpy's warnings.
         (["--eta", "10", "--sigma", "1%", "--impact-grid", "0.1:0.3:3", "--trials", "200",
           "--noise-sigma", "1e308"], "the random walk overflows at a daily noise level of 1e+308"),
+        # So is a finite walk whose sums could overflow, in either mode.
+        (["--eta", "10", "--sigma", "1%", "--impact-grid", "0.1:0.3:3", "--trials", "200",
+          "--noise-sigma", "1e300", "--mc-mode", "anywhere"],
+         "the random walk overflows at a daily noise level of 1e+300"),
+        (["--eta", "10", "--sigma", "1%", "--impact-grid", "0.1:0.3:3", "--trials", "200",
+          "--noise-sigma", "1e306"], "the random walk overflows at a daily noise level of 1e+306"),
     ],
 )
 def test_bankruptcy_bad_horizon_exit_1(flags, message, capsys):

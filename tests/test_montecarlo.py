@@ -2,6 +2,8 @@
 
 import argparse
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -670,6 +672,27 @@ def _drift_free(config):
     )
 
 
+def _both_columns(liquidations):
+    """The liquidations followed by each one without impact, as transition_curve passes them."""
+    return liquidations + montecarlo._without_impact(liquidations, 1.0)
+
+
+@pytest.mark.parametrize("n_days", [1, 2, 30, 1000])
+def test_without_impact_is_the_liquidation_at_zero_impact(n_days):
+    # Every field the kernel reads equals what _liquidation builds at Y = 0,
+    # and the no-impact prices and holdings add no float vector.
+    base = make_config(9.0, 0.15, n_days)
+    dq = base.schedule.delta_q
+    liq = montecarlo._liquidation(base.position, base.params, dq, n_days)
+    (plain,) = montecarlo._without_impact([liq], 1.0)
+    ref = montecarlo._liquidation(base.position, _drift_free(base).params, dq, n_days)
+    assert np.array_equal(plain.det, ref.det) and plain.det.shape == ref.det.shape
+    for name in ("det_sum", "det_abs", "det_min", "threshold", "L", "delta_q"):
+        assert getattr(plain, name) == getattr(ref, name), name
+    assert np.array_equal(plain.q_rem, ref.q_rem)
+    assert plain.q_rem is liq.q_rem and plain.det.strides == (0,)
+
+
 @pytest.mark.parametrize("drift", ["impact", "no impact"])
 def test_at_end_debt_on_a_trial_sum(drift):
     # A debt equal to a trial's own proceeds, or one ulp either side, puts the
@@ -687,12 +710,12 @@ def test_at_end_debt_on_a_trial_sum(drift):
         for L in (np.nextafter(proceeds, -np.inf), proceeds, np.nextafter(proceeds, np.inf)):
             position = Position(Q=base.position.Q, p0=1.0, L=float(L))
             liq = montecarlo._liquidation(position, base.params, dq, n_days)
-            (tally,) = montecarlo._simulate(
-                [liq], BankruptcyMode.AT_END, 1.0, base.params.sigma, n_trials, 77, noimpact=True
+            tally, plain = montecarlo._simulate(
+                _both_columns([liq]), BankruptcyMode.AT_END, 1.0, base.params.sigma, n_trials, 77
             )
             expected = {name: sum(dq * daily.sum() < L for daily in rows) for name, rows in paths.items()}
             assert tally.bankrupt == expected["impact"]
-            assert tally.bankrupt_noimpact == expected["no impact"]
+            assert plain.bankrupt == expected["no impact"]
 
 
 @pytest.mark.parametrize(
@@ -710,10 +733,10 @@ def test_at_end_debt_outside_the_normal_range(calI, L):
     position = Position(Q=base.position.Q, p0=1.0, L=L)
     liq = montecarlo._liquidation(position, base.params, dq, n_days)
     assert math.isnan(liq.threshold)
-    (tally,) = montecarlo._simulate(
-        [liq], BankruptcyMode.AT_END, 1.0, base.params.sigma, n_trials, seed, noimpact=True
+    tally, plain = montecarlo._simulate(
+        _both_columns([liq]), BankruptcyMode.AT_END, 1.0, base.params.sigma, n_trials, seed
     )
-    for count, config in ((tally.bankrupt, base), (tally.bankrupt_noimpact, _drift_free(base))):
+    for count, config in ((tally.bankrupt, base), (plain.bankrupt, _drift_free(base))):
         paths = [simulate_price_path(config, i).prices[1:] for i in range(n_trials)]
         assert count == sum(dq * daily.sum() < L for daily in paths)
     if L > 1.0:
@@ -727,19 +750,34 @@ def test_a_walk_that_is_not_finite_is_refused(mode):
     # At noise_sigma = 1e308 most walks overflow to +-inf, so their prices
     # and sums are not finite and any count would describe the overflow.
     # Both modes refuse the first such batch, naming the noise level, before
-    # numpy warns about the overflow (warnings are errors here).
-    n_trials, seed, step, sigma, V = 600, 4242, 1e308, 0.02, 1e6
+    # numpy warns about the overflow (warnings are errors here).  So do they
+    # where the walk stays finite but a sum of the tests could overflow: its
+    # largest offset mag reaches (float max) / (4 * reach) - max(p0, -det_min),
+    # reach the largest n_days * max(1, delta_q).  Just below that level
+    # every batch runs, with no overflow.
+    n_trials, seed, sigma, V = 600, 4242, 0.02, 1e6
     params = ImpactParams(Y=1.0, sigma=sigma, V=V)
     liquidations = []
     for cal_i, n_days in ((0.02, 1), (0.05, 2), (0.1, 10), (0.3, 22)):
         Q = (cal_i / sigma) ** 2 * V
         position = Position(Q=Q, p0=1.0, L=Q * (1.0 - 1.0 / 9.0))
         liquidations.append(montecarlo._liquidation(position, params, Q / n_days, n_days))
+    liquidations = _both_columns(liquidations)
+    reach = max(len(liq.det) * max(1.0, liq.delta_q) for liq in liquidations)
+    limit = sys.float_info.max / (4.0 * reach) - max(1.0, -min(liq.det_min for liq in liquidations))
+    peak = max(  # the largest |offset| of a trial's 22-day walk at a step of 1
+        np.abs(np.cumsum(trial_rng(seed, i).standard_normal(22))).max() for i in range(n_trials)
+    )
+    below, above = 0.999 * limit / peak, 1.001 * limit / peak
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        refusal = r"^the random walk overflows at a daily noise level of 1e\+308$"
-        with pytest.raises(ValueError, match=refusal):
-            montecarlo._simulate(liquidations, mode, 1.0, step, n_trials, seed, noimpact=True)
+        for step in (1e308, above):
+            refusal = "^the random walk overflows at a daily noise level of "
+            with pytest.raises(ValueError, match=f"{refusal}{re.escape(repr(step))}$"):
+                montecarlo._simulate(liquidations, mode, 1.0, step, n_trials, seed)
+        tallies = montecarlo._simulate(liquidations, mode, 1.0, below, n_trials, seed)
+    counts = _parent_counts(liquidations[:4], mode, 1.0, below, n_trials, seed)
+    assert [tally.bankrupt for tally in tallies] == [c[0] for c in counts] + [c[1] for c in counts]
 
 
 def _parent_bankrupt(mode, liq, daily):
@@ -768,13 +806,18 @@ def _parent_counts(liquidations, mode, p0, step, n_trials, seed):
 
 
 def _spy_end_counts(monkeypatch) -> list:
-    """Record each AT_END decision as (column, counts): column 0 with impact, 1 without."""
+    """Record each AT_END decision as (columns, counts), a column per liquidation of the run.
+
+    Column 1 is a liquidation without impact (every noise-free price p0 = 1,
+    so its prices sum to its days), column 0 one with impact.
+    """
     calls = []
     real = montecarlo._end_counts
 
-    def spy(run, prefix, mag, p0=None):
-        counts = real(run, prefix, mag, p0)
-        calls.append((0 if p0 is None else 1, counts))
+    def spy(terms, prefix, mag):
+        counts = real(terms, prefix, mag)
+        days, _, det_sum, _ = terms
+        calls.append(((det_sum == days).astype(int).tolist(), counts))
         return counts
 
     monkeypatch.setattr(montecarlo, "_end_counts", spy)
@@ -785,7 +828,8 @@ def _check_per_point_loop(mode, noise_sigma, count, eta, sigma, n_feasible, runs
     """A curve over linspace(0, 0.32, count) counts what the per-point loop counts.
 
     Also checks that both columns have bankrupt and solvent trials, and that
-    AT_END decides them all from the totals, in the given number of runs.
+    AT_END decides the liquidations of both from the totals, in the given
+    number of runs per batch.
     """
     lambda0, V, n_trials, seed = 9.0, 1e6, 600, 4242
     grid = np.linspace(0.0, 0.32, count)
@@ -813,14 +857,15 @@ def _check_per_point_loop(mode, noise_sigma, count, eta, sigma, n_feasible, runs
     # Both columns count some trials bankrupt and some not.
     for column in ([c[0] for c in counts], [c[1] for c in counts]):
         assert any(0 < k < n_trials for k in column)
-    # AT_END decides both columns of every run at once, one call per column,
+    # AT_END decides the points and then their no-impact twins, one call per
     # run and batch; the path-wise test never does.
     if mode is BankruptcyMode.AT_END:
-        assert [column for column, _ in calls] == [0, 1] * runs * -(-n_trials // _BATCH)
-        for column in (0, 1):
-            decided = [k for c, run in calls if c == column for k in run]
-            assert len(decided) == n_feasible * -(-n_trials // _BATCH)
-            assert min(decided) >= 0  # no trial lies within a rounding margin
+        batches = -(-n_trials // _BATCH)
+        assert len(calls) == runs * batches
+        columns = [c for columns, _ in calls for c in columns]
+        assert columns == ([0] * n_feasible + [1] * n_feasible) * batches
+        decided = [k for _, counts in calls for k in counts]
+        assert min(decided) >= 0  # no trial lies within a rounding margin
     else:
         assert calls == []
 
@@ -829,8 +874,9 @@ def _check_per_point_loop(mode, noise_sigma, count, eta, sigma, n_feasible, runs
 @pytest.mark.parametrize("mode", list(BankruptcyMode))
 @pytest.mark.parametrize("noise_sigma", [None, 0.4])
 def test_transition_curve_matches_per_point_loop(mode, noise_sigma, monkeypatch):
-    # 60 points decided in one run: 0.005 to 0.02 round below one day.
-    _check_per_point_loop(mode, noise_sigma, 65, 10.0, 0.01, 60, 1, monkeypatch)
+    # 60 points and their no-impact twins, decided in two runs: 0.005 to 0.02
+    # round below one day.
+    _check_per_point_loop(mode, noise_sigma, 65, 10.0, 0.01, 60, 2, monkeypatch)
 
 
 @pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
@@ -839,7 +885,7 @@ def test_transition_curve_matches_per_point_loop(mode, noise_sigma, monkeypatch)
 def test_transition_curve_matches_per_point_loop_in_runs(mode, noise_sigma, monkeypatch):
     # 125 points of 1 to 10 days, decided in runs of montecarlo._RUN points,
     # at a volatility where a 10-day walk can bankrupt a trial without impact.
-    _check_per_point_loop(mode, noise_sigma, 161, 4.0, 0.05, 125, 2, monkeypatch)
+    _check_per_point_loop(mode, noise_sigma, 161, 4.0, 0.05, 125, 4, monkeypatch)
 
 
 @pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
@@ -850,14 +896,15 @@ def test_transition_curve_matches_per_point_loop_in_runs_past_run_days(
 ):
     # 100 points of 1 to 256 days: the runs stay _RUN points wide where the
     # longest horizon is wider than that.
-    _check_per_point_loop(mode, noise_sigma, 105, 1.0, 0.02, 100, 2, monkeypatch)
+    _check_per_point_loop(mode, noise_sigma, 105, 1.0, 0.02, 100, 4, monkeypatch)
 
 
 @pytest.mark.parametrize("column", [0, 1], ids=["impact", "no impact"])
 def test_at_end_one_point_of_a_batch_falls_back(column, monkeypatch):
-    # Six points decided in one run, one of which owes exactly a trial's own
-    # proceeds in one column: that point, and no other, falls back on the
-    # direct test in that column, and every count is the per-trial count.
+    # Six points and their no-impact twins decided in one run, one of which
+    # owes exactly a trial's own proceeds in one column: that liquidation, and
+    # no other, falls back on the direct test, and every count is the
+    # per-trial count.
     n_days, n_trials, seed, k = (5, 9, 14, 20, 30, 45), 40, 77, 11
     sigma, V = 0.02, 1e6
     params = ImpactParams(Y=1.0, sigma=sigma, V=V)
@@ -878,11 +925,11 @@ def test_at_end_one_point_of_a_batch_falls_back(column, monkeypatch):
         paths.append((dq, L, rows))
     calls = _spy_end_counts(monkeypatch)
     tallies = montecarlo._simulate(
-        liquidations, BankruptcyMode.AT_END, 1.0, sigma, n_trials, seed, noimpact=True
+        _both_columns(liquidations), BankruptcyMode.AT_END, 1.0, sigma, n_trials, seed
     )
-    assert [c for c, _ in calls] == [0, 1]
-    for c, counts in calls:
-        assert [j for j, count in enumerate(counts) if count < 0] == ([3] if c == column else [])
-    for tally, (dq, L, rows) in zip(tallies, paths):
+    ((columns, counts),) = calls
+    assert columns == [0] * 6 + [1] * 6
+    assert [j for j, count in enumerate(counts) if count < 0] == [6 * column + 3]
+    for tally, plain, (dq, L, rows) in zip(tallies[:6], tallies[6:], paths):
         expected = [sum(dq * daily.sum() < L for daily in trials) for trials in rows]
-        assert [tally.bankrupt, tally.bankrupt_noimpact] == expected
+        assert [tally.bankrupt, plain.bankrupt] == expected

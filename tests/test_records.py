@@ -1,8 +1,9 @@
 """The record contract: every public record of the package behaves alike.
 
-Keyword construction with defaults, equality and hashing by field,
-pickling, immutability, the ``Name(field=value, ...)`` repr, and each checked
-constructor's message on a bad field.
+Keyword construction with defaults, a signature that lists the fields and
+their defaults, equality and hashing by field, pickling, immutability, the
+``Name(field=value, ...)`` repr, and each checked constructor's message on
+a bad field, also where ``_replace`` brings it in.
 """
 
 import enum
@@ -147,6 +148,9 @@ def test_record_contract(cls, given, defaults, text, bad):
     record = cls(**given)
     fields = {**given, **defaults}
     assert {name: getattr(record, name) for name in fields} == fields
+    signature = inspect.signature(cls).parameters
+    assert set(signature) == set(fields)
+    assert {name: signature[name].default for name in defaults} == defaults
     assert repr(record) == text
     twin = cls(**given)
     assert twin is not record and twin == record and hash(twin) == hash(record)
@@ -161,9 +165,13 @@ def test_record_contract(cls, given, defaults, text, bad):
     assert record == twin
     if bad is not None:
         changes, message = bad
-        with pytest.raises(ValueError) as caught:
-            cls(**{**given, **changes})
-        assert str(caught.value) == message
+        builds = [lambda: cls(**{**given, **changes})]
+        if isinstance(record, tuple):
+            builds.append(lambda: record._replace(**changes))
+        for build in builds:
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == message
 
 
 def test_the_contract_covers_every_public_record():
