@@ -10,10 +10,10 @@ Both sides run the same cases, each in its own interpreter:
 
 - every command the benchmark workloads in ``bench/workloads.py`` send,
   and every subcommand in each of its formats, plus usage and data errors,
-  each memory-budget refusal, walks whose sums could overflow, a warning
-  and CSV and JSON written with ``--out``, as ``python -m impactval.cli``
-  subprocesses: exit code, stdout, stderr and the ``--out`` file are
-  compared;
+  each memory-budget refusal, walks whose sums could overflow, a warning,
+  each subcommand's ``--help`` and CSV and JSON written with ``--out``, as
+  ``python -m impactval.cli`` subprocesses: exit code, stdout, stderr and
+  the ``--out`` file are compared;
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
   on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
   two-day points, on 100 points of 1 to 256 days, at noise_sigma 1e300
@@ -117,6 +117,7 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         "report-json": ["report", "--format", "json"],
         "report-csv": ["report", "--format", "csv"],
         "report-file": ["report", str(assets), "--format", "csv"],
+        "report-file-text": ["report", str(assets)],
         "report-missing": ["report", str(work / "missing.ini")],
         "estimate-text": ["estimate", str(series)],
         "estimate-json": ["estimate", str(series), "--format", "json"],
@@ -126,6 +127,8 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         "unknown-command": ["nonsense"],
         "help": ["--help"],
     }
+    for command in ("value", "trajectory", "critical", "bankruptcy", "report", "estimate"):
+        argvs[f"{command}-help"] = [command, "--help"]
     cases += [(name, argv, None) for name, argv in argvs.items()]
     out = work / "out.txt"
     to_file = {

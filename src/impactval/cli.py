@@ -81,6 +81,12 @@ def _add_params_flags(parser) -> None:
     parser.add_argument("--phi", type=finite_float, default=None, help="transactions per day")
 
 
+def _add_position_flags(parser, required=False) -> None:
+    parser.add_argument("--Q", type=finite_float, required=required)
+    parser.add_argument("--p0", type=finite_float, required=required)
+    parser.add_argument("--L", type=finite_float, default=0.0)
+
+
 def _leverage_and_impact(args) -> tuple[float, float]:
     """(lambda0, calI) of the position given by --Q, --p0, --L and the impact parameters."""
     from . import leverage as lev
@@ -231,7 +237,7 @@ def cmd_bankruptcy(args) -> int:
         args.trials,
         args.seed,
         Y=args.Y,
-        sigma=args.sigma if args.sigma is not None else 0.02,
+        sigma=args.sigma,
         bankruptcy_mode=mode,
         noise_sigma=args.noise_sigma,
     )
@@ -239,9 +245,18 @@ def cmd_bankruptcy(args) -> int:
     return 0
 
 
-_REPORT_FIELDS = (
-    "sigma", "V", "S", "v", "impact_vol_based", "impact_spread_based", "lambda_c", "error"
+_number = "{:.4g}".format
+# (text header, row key, text format) of each column after the asset's name.
+_REPORT_COLUMNS = (
+    ("sigma", "sigma", _percent),
+    ("V", "V", _number),
+    ("S", "S", _percent),
+    ("v", "v", _number),
+    ("I1", "impact_vol_based", _percent),
+    ("I2", "impact_spread_based", _percent),
+    ("lambda_c", "lambda_c", _number),
 )
+_REPORT_FIELDS = (*(key for _, key, _ in _REPORT_COLUMNS), "error")
 
 
 def _asset_row(asset) -> dict:
@@ -320,34 +335,22 @@ def cmd_report(args) -> int:
         _write_json(args, rows)
         return 0
     if args.format == "csv":
+        def cell(value):
+            return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
         out = [["name", *_REPORT_FIELDS]]
-        for row in rows:
-            out.append(
-                ["" if row[k] is None else repr(row[k]) if isinstance(row[k], float) else str(row[k])
-                 for k in out[0]]
-            )
+        out += [[cell(row[key]) for key in out[0]] for row in rows]
         lev.write_csv(out, args.out or sys.stdout)
         return 0
 
-    headers = ["asset", "sigma", "V", "S", "v", "I1", "I2", "lambda_c"]
-    table = [headers]
+    table = [["asset", *(header for header, _, _ in _REPORT_COLUMNS)]]
     for row in rows:
         if row["error"]:
-            table.append([row["name"], f"error: {row['error']}", "", "", "", "", "", ""])
-            continue
-        table.append(
-            [
-                row["name"],
-                _percent(row["sigma"]) if row["sigma"] is not None else "--",
-                f"{row['V']:.4g}" if row["V"] is not None else "--",
-                _percent(row["S"]) if row["S"] is not None else "--",
-                f"{row['v']:.4g}" if row["v"] is not None else "--",
-                _percent(row["impact_vol_based"]) if row["impact_vol_based"] is not None else "--",
-                _percent(row["impact_spread_based"]) if row["impact_spread_based"] is not None else "--",
-                f"{row['lambda_c']:.4g}" if row["lambda_c"] is not None else "--",
-            ]
-        )
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
+            cells = [f"error: {row['error']}"] + [""] * (len(_REPORT_COLUMNS) - 1)
+        else:
+            cells = ["--" if row[key] is None else fmt(row[key]) for _, key, fmt in _REPORT_COLUMNS]
+        table.append([row["name"], *cells])
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip() for r in table]
     _write_text(args, "\n".join(lines) + "\n")
     return 0
@@ -360,12 +363,7 @@ def cmd_estimate(args) -> int:
     )
     params = estimate_params(series, policy, Y=args.Y)
     if args.format == "json":
-        payload = {
-            k: getattr(params, k)
-            for k in ("Y", "sigma", "V", "S", "v", "b", "phi")
-            if getattr(params, k) is not None
-        }
-        _write_json(args, payload)
+        _write_json(args, {k: v for k, v in params._asdict().items() if v is not None})
     else:
         _write_text(args, params.to_config_text())
     return 0
@@ -378,94 +376,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_global_flags(target, suppress=False):
-        default = argparse.SUPPRESS if suppress else None
-        target.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default=argparse.SUPPRESS if suppress else "text",
-        )
-        target.add_argument(
-            "--seed",
-            type=int,
-            default=argparse.SUPPRESS if suppress else 12345,
-            help="master seed for stochastic runs",
-        )
-        target.add_argument(
-            "--out",
-            metavar="PATH",
-            default=default,
-            help="write output to a file instead of stdout",
-        )
+        for flag, default, kwargs in (
+            ("--format", "text", {"choices": ("text", "json", "csv")}),
+            ("--seed", 12345, {"type": int, "help": "master seed for stochastic runs"}),
+            ("--out", None, {"metavar": "PATH", "help": "write output to a file instead of stdout"}),
+        ):
+            target.add_argument(flag, default=argparse.SUPPRESS if suppress else default, **kwargs)
 
-    add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_value = sub.add_parser("value", help="mark-to-market vs impact-adjusted valuation")
-    p_value.add_argument("--Q", type=finite_float, required=True)
-    p_value.add_argument("--p0", type=finite_float, required=True)
-    p_value.add_argument("--L", type=finite_float, default=0.0)
-    _add_params_flags(p_value)
-    add_global_flags(p_value, suppress=True)
-    p_value.set_defaults(func=cmd_value, formats=("text", "json"))
+    def command(name, func, formats, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, formats=formats)
+        return p
 
-    p_traj = sub.add_parser("trajectory", help="leverage trajectory CSV (exit or round trip)")
-    p_traj.add_argument("--lambda0", type=finite_float)
-    p_traj.add_argument("--impact", type=parse_fraction, help="full-position impact I(Q)")
-    p_traj.add_argument("--Q", type=finite_float)
-    p_traj.add_argument("--p0", type=finite_float)
-    p_traj.add_argument("--L", type=finite_float, default=0.0)
-    p_traj.add_argument("--E0", type=finite_float, help="initial equity (roundtrip mode)")
-    p_traj.add_argument("--grid", type=int, default=1000)
-    p_traj.add_argument("--mode", choices=("exit", "roundtrip"), default="exit")
-    _add_params_flags(p_traj)
-    add_global_flags(p_traj, suppress=True)
-    p_traj.set_defaults(func=cmd_trajectory, formats=("text", "csv"))
+    p = command("value", cmd_value, ("text", "json"), "mark-to-market vs impact-adjusted valuation")
+    _add_position_flags(p, required=True)
+    _add_params_flags(p)
 
-    p_crit = sub.add_parser("critical", help="criticality report (regime, I_c, lambda_c, x*, x_c)")
-    p_crit.add_argument("--lambda0", type=finite_float)
-    p_crit.add_argument("--impact", type=parse_fraction)
-    p_crit.add_argument("--Q", type=finite_float)
-    p_crit.add_argument("--p0", type=finite_float)
-    p_crit.add_argument("--L", type=finite_float, default=0.0)
-    _add_params_flags(p_crit)
-    add_global_flags(p_crit, suppress=True)
-    p_crit.set_defaults(func=cmd_critical, formats=("text", "json"))
+    p = command("trajectory", cmd_trajectory, ("text", "csv"),
+                "leverage trajectory CSV (exit or round trip)")
+    p.add_argument("--lambda0", type=finite_float)
+    p.add_argument("--impact", type=parse_fraction, help="full-position impact I(Q)")
+    _add_position_flags(p)
+    p.add_argument("--E0", type=finite_float, help="initial equity (roundtrip mode)")
+    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--mode", choices=("exit", "roundtrip"), default="exit")
+    _add_params_flags(p)
 
-    p_bank = sub.add_parser("bankruptcy", help="bankruptcy-probability transition curve CSV")
-    p_bank.add_argument("--lambda0", type=finite_float, required=True)
-    p_bank.add_argument("--eta", type=finite_float, required=True, help="participation rate delta_q/V")
-    p_bank.add_argument(
-        "--impact-grid", type=parse_grid, default="0:0.3:16",
-        help="start:stop:count",
-    )
-    p_bank.add_argument("--trials", type=int, default=10000)
-    p_bank.add_argument("--sigma", type=parse_fraction, help="daily volatility (default 0.02)")
-    p_bank.add_argument("--noise-sigma", type=parse_fraction, default=None,
-                        help="background noise level (0 for deterministic paths)")
-    p_bank.add_argument("--Y", type=finite_float, default=1.0)
-    p_bank.add_argument("--mc-mode", choices=("at-end", "anywhere"), default="at-end")
-    add_global_flags(p_bank, suppress=True)
-    p_bank.set_defaults(func=cmd_bankruptcy, formats=("text", "csv"))
+    p = command("critical", cmd_critical, ("text", "json"),
+                "criticality report (regime, I_c, lambda_c, x*, x_c)")
+    p.add_argument("--lambda0", type=finite_float)
+    p.add_argument("--impact", type=parse_fraction)
+    _add_position_flags(p)
+    _add_params_flags(p)
 
-    p_rep = sub.add_parser("report", help="per-asset impact and critical-leverage table")
-    p_rep.add_argument(
-        "assets",
-        nargs="?",
-        default=None,
-        help="INI file, one section per asset (default: bundled fixture)",
-    )
-    add_global_flags(p_rep, suppress=True)
-    p_rep.set_defaults(func=cmd_report, formats=("text", "json", "csv"))
+    p = command("bankruptcy", cmd_bankruptcy, ("text", "csv"),
+                "bankruptcy-probability transition curve CSV")
+    p.add_argument("--lambda0", type=finite_float, required=True)
+    p.add_argument("--eta", type=finite_float, required=True, help="participation rate delta_q/V")
+    p.add_argument("--impact-grid", type=parse_grid, default="0:0.3:16", help="start:stop:count")
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--sigma", type=parse_fraction, default=0.02,
+                   help="daily volatility (default 0.02)")
+    p.add_argument("--noise-sigma", type=parse_fraction, default=None,
+                   help="background noise level (0 for deterministic paths)")
+    p.add_argument("--Y", type=finite_float, default=1.0)
+    p.add_argument("--mc-mode", choices=("at-end", "anywhere"), default="at-end")
 
-    p_est = sub.add_parser("estimate", help="estimate impact parameters from a market CSV")
-    p_est.add_argument("series", help="daily market data CSV")
-    p_est.add_argument("--window", type=int, default=126)
-    p_est.add_argument("--exclusion", type=int, default=5)
-    p_est.add_argument("--halflife", type=int, default=63)
-    p_est.add_argument("--Y", type=finite_float, default=1.0)
-    add_global_flags(p_est, suppress=True)
-    p_est.set_defaults(func=cmd_estimate, formats=("text", "json"))
+    p = command("report", cmd_report, ("text", "json", "csv"),
+                "per-asset impact and critical-leverage table")
+    p.add_argument("assets", nargs="?", default=None,
+                   help="INI file, one section per asset (default: bundled fixture)")
 
+    p = command("estimate", cmd_estimate, ("text", "json"),
+                "estimate impact parameters from a market CSV")
+    p.add_argument("series", help="daily market data CSV")
+    p.add_argument("--window", type=int, default=126)
+    p.add_argument("--exclusion", type=int, default=5)
+    p.add_argument("--halflife", type=int, default=63)
+    p.add_argument("--Y", type=finite_float, default=1.0)
+
+    # Last, so that each command's usage line ends with them.  A command's
+    # flags default to nothing, so that they keep what was given before it.
+    for target in (parser, *sub.choices.values()):
+        add_global_flags(target, suppress=target is not parser)
     return parser
 
 

@@ -9,6 +9,7 @@ I = Y * b * S * sqrt(N) with N the number of child trades.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from enum import Enum
 from pathlib import Path
@@ -78,9 +79,13 @@ class ImpactParams(_ImpactParams):
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when given, got {value}")
         if self.b is not None and not (B_TYPICAL_RANGE[0] <= self.b <= B_TYPICAL_RANGE[1]):
+            # Name the caller's line, also when _make or _replace built the record.
+            frame, level = sys._getframe(1), 2
+            while frame.f_code in _BUILDER_CODES:
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"b={self.b} lies outside the typical range {B_TYPICAL_RANGE}",
-                stacklevel=2,
+                stacklevel=level,
             )
 
     __init__.__wrapped__ = _ImpactParams.__new__
@@ -124,6 +129,11 @@ class ImpactParams(_ImpactParams):
     @classmethod
     def load(cls, path: str | Path) -> "ImpactParams":
         return cls.from_config_text(Path(path).read_text(encoding="utf-8-sig"))
+
+
+# Code of the frames that lie between a caller and ImpactParams.__init__ when
+# _make, or _replace through it, builds the record.
+_BUILDER_CODES = (ImpactParams._make.__func__.__code__, ImpactParams._replace.__code__)
 
 
 class ValidityReport(NamedTuple):

@@ -305,13 +305,17 @@ def _end_counts(terms: "list[np.ndarray]", prefix: np.ndarray, mag: float) -> "l
     """
     days, threshold, det_sum, det_abs = terms
     total = prefix[:, days - 1]
-    total += det_sum
-    counts = np.count_nonzero(total < threshold, axis=0)
-    total -= threshold
-    np.abs(total, out=total)
-    margin = _MARGIN_FACTOR * (days + 4) * _EPS * (mag * days + det_abs + threshold)
-    # Written so that a nan total, threshold or margin leaves its point undecided.
-    decided = total.min(axis=0) > margin
+    # Where a threshold lies near the float maximum these sums can overflow.
+    # The comparison is written so that an inf margin, or a nan anywhere,
+    # leaves the point undecided, for the direct test; a difference that
+    # overflows past a finite margin lies outside it and decides correctly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total += det_sum
+        counts = np.count_nonzero(total < threshold, axis=0)
+        total -= threshold
+        np.abs(total, out=total)
+        margin = _MARGIN_FACTOR * (days + 4) * _EPS * (mag * days + det_abs + threshold)
+        decided = total.min(axis=0) > margin
     return np.where(decided, counts, -1).tolist()
 
 

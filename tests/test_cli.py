@@ -451,6 +451,42 @@ def test_report_text_renders_missing_as_dashes(capsys):
     assert "7.5" in cds_line
 
 
+def test_report_text_line_for_line(tmp_path, capsys):
+    path = tmp_path / "assets.ini"
+    path.write_text(
+        "[Full]\nsigma = 2%\nV = 1e6\nQ = 4e6\nS = 0.1%\nv = 1e4\nb = 0.7\n\n"
+        "[Bad]\nsigma = abc\nV = 1e6\nQ = 1e5\n\n"
+        "[Spread]\nS = 0.10\nv = 10e6\nQ = 100e6\nb = 0.6324555320336759\n\n"
+        "[Empty]\n"
+    )
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "asset   sigma                                                   V      S     v      I1  I2    lambda_c",
+        "Full    2%                                                      1e+06  0.1%  1e+04  4%  1.4%  37.5",
+        "Bad     error: sigma: could not convert string to float: 'abc'",
+        "Spread  --                                                      --     10%   1e+07  --  20%   7.5",
+        "Empty   error: no usable parameters",
+    ]
+    assert out.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "command, positional",
+    [("value", ""), ("trajectory", ""), ("critical", ""), ("bankruptcy", ""),
+     ("report", " [assets]"), ("estimate", " series")],
+)
+def test_each_usage_line_ends_with_the_global_flags(capsys, command, positional):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: impactval {command} [-h] ")
+    assert " ".join(usage.split()).endswith(
+        "[--format {text,json,csv}] [--seed SEED] [--out PATH]" + positional
+    )
+
+
 def test_report_empty_asset_list(tmp_path, capsys):
     empty = tmp_path / "empty.ini"
     empty.write_text("# no assets\n")

@@ -1,6 +1,7 @@
 """Tests for the volume-based and spread-based impact formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ def test_params_unusual_b_warns_but_constructs():
     with pytest.warns(UserWarning):
         params = ImpactParams(Y=1.0, sigma=0.02, V=1e6, b=0.3)
     assert params.b == 0.3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ImpactParams(1.0, 0.02, 1e6, b=0.5),
+        lambda: ImpactParams._make([1.0, 0.02, 1e6, None, None, 0.5, None]),
+        lambda: ImpactParams(1.0, 0.02, 1e6)._replace(b=0.5),
+    ],
+    ids=["constructor", "make", "replace"],
+)
+def test_params_warning_names_the_callers_line(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build()
+    (w,) = caught
+    assert str(w.message) == "b=0.5 lies outside the typical range (0.6, 0.9)"
+    assert w.filename == __file__
+    assert w.lineno == build.__code__.co_firstlineno
 
 
 def test_params_config_round_trip(tmp_path):

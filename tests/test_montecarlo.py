@@ -780,6 +780,26 @@ def test_a_walk_that_is_not_finite_is_refused(mode):
     assert [tally.bankrupt for tally in tallies] == [c[0] for c in counts] + [c[1] for c in counts]
 
 
+@pytest.mark.filterwarnings("ignore:.*simulated prices were negative")
+@pytest.mark.parametrize("noise_sigma", [1e306, 1e307])
+def test_at_end_debt_near_the_float_maximum(noise_sigma):
+    # A one-day sale owing 1.7e308: at noise 1e307 the totals and their
+    # margin overflow, which leaves the point to the direct test without a
+    # numpy warning (RuntimeWarnings are errors here); the count is the
+    # per-trial count at both levels.
+    config = MonteCarloConfig(
+        Position(Q=1.0, p0=1.0, L=1.7e308), ImpactParams(Y=1.0, sigma=0.02, V=1e6),
+        LiquidationSchedule(Q=1.0, delta_q=1.0, V=1e6), n_trials=200, master_seed=3,
+        noise_sigma=noise_sigma,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = bankruptcy_probability(config)
+        paths = [simulate_price_path(config, i).prices[1:] for i in range(config.n_trials)]
+    expected = sum(daily.sum() < config.position.L for daily in paths)
+    assert result.p_bankrupt == expected / config.n_trials
+
+
 def _parent_bankrupt(mode, liq, daily):
     """The direct bankruptcy test of the per-point loop, for either mode."""
     if mode is BankruptcyMode.AT_END:
