@@ -26,7 +26,10 @@ Both sides run the same cases, each in its own interpreter:
   small CSV and ``simulate_price_path``, a schedule from
   ``LiquidationSchedule.from_participation`` and its ``MonteCarloConfig``,
   the error of each checked constructor on a bad field, each checked
-  record's ``inspect.signature`` and its ``_replace`` with a bad field.
+  record's ``inspect.signature`` and its ``_replace`` with a bad field;
+- the ``repr`` of the points of ``deleverage_trajectory`` (past x_c, where
+  leverage diverges) and of ``entry_exit_trajectories``, as built and after
+  a ``pickle`` round trip.
 
 The script prints each case that differs and exits 1 if any does.
 """
@@ -37,6 +40,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -236,6 +240,10 @@ def library_records(work: Path) -> dict:
     position = valuation.Position(Q=1e5, p0=10.0, L=9.9e5)
     schedule = mc.LiquidationSchedule.from_participation(Q=1e5, V=1e6, eta=0.01)
     config = mc.MonteCarloConfig(position, params, schedule, n_trials=200, master_seed=3)
+    trajectories = {  # x_c is 0.15 at lambda0 = 9, calI = 0.3
+        "exit": leverage.deleverage_trajectory(9.0, 0.3, leverage.linspace(0.0, 1.0, 6)),
+        "roundtrip": leverage.entry_exit_trajectories(position, params, grid_size=4),
+    }
     built = {
         "params": lambda: params,
         "position": lambda: position,
@@ -266,6 +274,9 @@ def library_records(work: Path) -> dict:
         "replace-schedule": lambda: schedule._replace(delta_q=math.inf),
         "replace-config": lambda: config._replace(master_seed=2**128),
     }
+    for mode, points in trajectories.items():
+        built[f"trajectory-{mode}"] = lambda points=points: points
+        built[f"trajectory-{mode}-pickled"] = lambda points=points: pickle.loads(pickle.dumps(points))
     for cls in (impact.ImpactParams, valuation.Position, estimation.EstimationPolicy,
                 mc.LiquidationSchedule, mc.MonteCarloConfig):
         built[f"signature-{cls.__name__}"] = lambda cls=cls: inspect.signature(cls)

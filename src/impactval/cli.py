@@ -15,11 +15,22 @@ import warnings
 from pathlib import Path
 
 # Only what every command needs loads here; each command imports the rest
-# itself.  Library calls go through these module-level names, which the
-# benchmark's tracer patches.
-from .estimation import EstimationPolicy, estimate_params, load_series
+# itself.  Library calls go through module attributes, which the benchmark's
+# tracer patches: the names imported here, and the estimation names, which
+# __getattr__ (PEP 562) loads on first access, so that only `estimate` loads
+# the estimation module.
 from .impact import ImpactParams, check_validity, expected_impact, impact_from_spread
 from .valuation import Position, average_valuation_price, liquidation_value
+
+_ESTIMATION_NAMES = ("EstimationPolicy", "estimate_params", "load_series")
+
+
+def __getattr__(name: str):
+    if name not in _ESTIMATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import estimation
+
+    return getattr(estimation, name)
 
 
 def finite_float(text: str) -> float:
@@ -357,11 +368,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    series = load_series(args.series)
-    policy = EstimationPolicy(
+    cli = sys.modules[__name__]  # through __getattr__, or the tracer's patches
+    series = cli.load_series(args.series)
+    policy = cli.EstimationPolicy(
         window_days=args.window, exclusion_days=args.exclusion, halflife_days=args.halflife
     )
-    params = estimate_params(series, policy, Y=args.Y)
+    params = cli.estimate_params(series, policy, Y=args.Y)
     if args.format == "json":
         _write_json(args, {k: v for k, v in params._asdict().items() if v is not None})
     else:

@@ -79,7 +79,7 @@ class ImpactParams(_ImpactParams):
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when given, got {value}")
         if self.b is not None and not (B_TYPICAL_RANGE[0] <= self.b <= B_TYPICAL_RANGE[1]):
-            # Name the caller's line, also when _make or _replace built the record.
+            # Name the caller's line, also when a builder made the record.
             frame, level = sys._getframe(1), 2
             while frame.f_code in _BUILDER_CODES:
                 frame, level = frame.f_back, level + 1
@@ -132,8 +132,13 @@ class ImpactParams(_ImpactParams):
 
 
 # Code of the frames that lie between a caller and ImpactParams.__init__ when
-# _make, or _replace through it, builds the record.
-_BUILDER_CODES = (ImpactParams._make.__func__.__code__, ImpactParams._replace.__code__)
+# _make (or _replace through it), from_config_text or load builds the record.
+_BUILDER_CODES = (
+    ImpactParams._make.__func__.__code__,
+    ImpactParams._replace.__code__,
+    ImpactParams.from_config_text.__func__.__code__,
+    ImpactParams.load.__func__.__code__,
+)
 
 
 class ValidityReport(NamedTuple):

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .impact import ImpactParams, expected_impact, impact_from_spread
-from .valuation import Position, liquidation_value, remaining_liquidation_value
+from .valuation import Position, remaining_liquidation_value
 
 #: Sentinel carried by trajectory data where leverage diverges.
 DIVERGED = math.inf
@@ -42,26 +41,68 @@ class Regime(Enum):
     SUPERCRITICAL = "SUPERCRITICAL"
 
 
-# The package's one dataclass, kept on purpose.  A NamedTuple builds each
-# exported row faster (a 100k-point exit export took 1.05 s against 1.2 s on
-# a 2-core Xeon VM), which changes how many rounds of the benchmark's
-# analytics workload fit a run and so which command its tail percentile
-# reads.  That speed-up belongs with the columnar trajectory export (ROADMAP
-# items 1 and 6), which may keep this record only as a row view.
-@dataclass(frozen=True)
+#: Field names of a TrajectoryPoint, in CSV column order.
+TRAJECTORY_COLUMNS = (
+    "x", "q_held", "marginal_price", "cash", "lambda_noimpact", "lambda_mtm", "lambda_adj",
+)
+
+
+# A __slots__ class whose __init__ sets each field with one call, not a
+# NamedTuple.  A NamedTuple builds rows faster (a 100k-point exit export took
+# 1.05 s against 1.2 s on a 2-core Xeon VM), which changes how many rounds of
+# the benchmark's analytics workload fit a run and so which command its tail
+# percentile reads.  That speed-up belongs with the columnar trajectory export
+# (ROADMAP items 1 and 6).
 class TrajectoryPoint:
-    """One sample of a leverage path (exit or entry leg)."""
+    """One sample of a leverage path (exit or entry leg).
 
-    x: float
-    q_held: float
-    marginal_price: float
-    cash: float
-    lambda_noimpact: float
-    lambda_mtm: float
-    lambda_adj: float
+    Immutable: assigning or deleting a field raises AttributeError.
+    """
 
+    __slots__ = TRAJECTORY_COLUMNS
+    __match_args__ = TRAJECTORY_COLUMNS
 
-TRAJECTORY_COLUMNS = tuple(field.name for field in fields(TrajectoryPoint))
+    def __init__(
+        self,
+        x: float,
+        q_held: float,
+        marginal_price: float,
+        cash: float,
+        lambda_noimpact: float,
+        lambda_mtm: float,
+        lambda_adj: float,
+    ) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "q_held", q_held)
+        object.__setattr__(self, "marginal_price", marginal_price)
+        object.__setattr__(self, "cash", cash)
+        object.__setattr__(self, "lambda_noimpact", lambda_noimpact)
+        object.__setattr__(self, "lambda_mtm", lambda_mtm)
+        object.__setattr__(self, "lambda_adj", lambda_adj)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in TRAJECTORY_COLUMNS)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in TRAJECTORY_COLUMNS)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class CriticalityReport(NamedTuple):
@@ -79,9 +120,11 @@ class CriticalityReport(NamedTuple):
 # Most memory one command may ask for, checked before its grid or arrays are built.
 MEMORY_BUDGET_BYTES = 1 << 30
 # Peak bytes per grid point of the objects a command builds, measured as the
-# slope of peak RSS over 20k to 400k points (Python 3.11, 2-core Xeon VM):
-# 1.2 KB per bankruptcy curve point, 384 B per exit-trajectory point and
-# 660 B per round-trip grid value, which holds an entry and an exit point.
+# slope of peak RSS up to 400k points (Python 3.11, 2-core Xeon VM): 1.2 KB
+# per bankruptcy curve point, 340 B per exit-trajectory point and 560 B per
+# round-trip grid value, which holds an entry and an exit point.
+# TRAJECTORY_POINT_BYTES lies above both trajectory figures, so that budget
+# errs on the safe side.
 CURVE_POINT_BYTES = 1280
 TRAJECTORY_POINT_BYTES = 400
 

@@ -626,6 +626,25 @@ def test_estimate_json_format(tmp_path, capsys):
     assert payload["sigma"] > 0.0
 
 
+def test_estimate_calls_through_the_cli_module_names(tmp_path, capsys, monkeypatch):
+    # The benchmark's tracer wraps these names, although the estimation
+    # module they come from loads only when estimate runs.
+    import impactval.cli as cli
+
+    series = tmp_path / "series.csv"
+    gaussian_series_csv(series)
+    calls = []
+    for name in ("load_series", "estimate_params"):
+        def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    code, _, _ = run(capsys, "estimate", str(series))
+    assert code == 0
+    assert calls == ["load_series", "estimate_params"]
+
+
 def test_global_flags_accepted_before_and_after_subcommand(capsys):
     code_a, out_a, _ = run(capsys, "--format", "json", "critical", "--lambda0", "9")
     code_b, out_b, _ = run(capsys, "critical", "--lambda0", "9", "--format", "json")

@@ -199,6 +199,18 @@ def test_params_warning_names_the_callers_line(build):
     assert w.lineno == build.__code__.co_firstlineno
 
 
+def test_params_warning_from_a_config_names_the_callers_line(tmp_path):
+    text = "Y=1\nsigma=0.02\nV=1e6\nb=0.5\n"
+    path = tmp_path / "params.ini"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ImpactParams.from_config_text(text)
+        ImpactParams.load(path)
+    assert [w.filename for w in caught] == [__file__, __file__]
+    assert caught[1].lineno == caught[0].lineno + 1
+
+
 def test_params_config_round_trip(tmp_path):
     params = ImpactParams(Y=1.0, sigma=0.0213, V=1.25e9, S=3.7e-4, v=1e6, b=0.774)
     path = tmp_path / "params.ini"

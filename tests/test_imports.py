@@ -70,49 +70,44 @@ def imported_modules(tree: ast.AST) -> list[str]:
     return modules
 
 
-def test_only_montecarlo_imports_numpy():
+def package_importers(name: str) -> set[str]:
+    """File names of the package's modules that import ``name`` or one of its submodules."""
     package = Path(impactval.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
         modules = imported_modules(ast.parse(path.read_text(encoding="utf-8")))
-        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+        if any(m == name or m.startswith(f"{name}.") for m in modules):
             importers.add(path.name)
-    assert importers == {"montecarlo.py"}
+    return importers
 
 
-def test_only_trajectory_point_uses_dataclasses():
-    # Every other record is a NamedTuple or a __slots__ class, so a command
-    # that does not import leverage loads neither dataclasses nor inspect.
-    package = Path(impactval.__file__).parent
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in package.glob("*.py")}
-    importers = {name for name, tree in trees.items() if "dataclasses" in imported_modules(tree)}
-    assert importers == {"leverage.py"}
-    tree = trees["leverage.py"]
-    (statement,) = [node for node in ast.walk(tree)
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                    and "dataclasses" in imported_modules(node)]
-    assert isinstance(statement, ast.ImportFrom)
-    imported = {alias.asname or alias.name for alias in statement.names}
-    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in imported]
-    calls = sorted(ast.unparse(node) for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and node.func in uses)
-    assert len(uses) == 2 and calls == ["dataclass(frozen=True)", "fields(TrajectoryPoint)"]
-    decorated = [node.name for node in ast.walk(tree)
-                 if isinstance(node, ast.ClassDef) and node.decorator_list]
-    assert decorated == ["TrajectoryPoint"]
+def test_only_montecarlo_imports_numpy():
+    assert package_importers("numpy") == {"montecarlo.py"}
 
 
-@pytest.mark.parametrize("command", [None, "value", "estimate"])
+def test_no_module_imports_dataclasses():
+    # Every record is a NamedTuple or a __slots__ class, so no command loads
+    # dataclasses, nor the inspect module that dataclasses imports.
+    assert package_importers("dataclasses") == set()
+
+
+BANKRUPTCY = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0.1:0.2:3",
+              "--trials", "50"]
+COMMANDS = {**NUMPY_FREE_COMMANDS, "bankruptcy": BANKRUPTCY}
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
 def test_start_up_does_not_load_dataclasses_or_inspect(command, tmp_path):
     write_series(tmp_path)
-    argv = [] if command is None else [*NUMPY_FREE_COMMANDS[command], "--out", "result"]
+    argv = [] if command is None else [*COMMANDS[command], "--out", "result"]
+    # numpy loads inspect itself, so bankruptcy is held to dataclasses alone.
+    unused = ("dataclasses",) if command == "bankruptcy" else ("dataclasses", "inspect")
     proc = run_fresh(
         f"""
         import sys
         from impactval.cli import main
         assert not {argv!r} or main({argv!r}) == 0
-        loaded = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+        loaded = [name for name in {unused!r} if name in sys.modules]
         assert not loaded, loaded
         """,
         tmp_path,
@@ -149,9 +144,9 @@ def test_closed_form_commands_do_not_load_numpy(argv, tmp_path):
 
 
 UNUSED_MODULES = {
-    "value": ("impactval.leverage", "csv", "configparser", "datetime"),
-    "critical": ("csv", "configparser", "datetime"),
-    "report": ("csv", "datetime"),
+    "value": ("impactval.leverage", "impactval.estimation", "csv", "configparser", "datetime"),
+    "critical": ("impactval.estimation", "csv", "configparser", "datetime"),
+    "report": ("impactval.estimation", "csv", "datetime"),
     "estimate": ("impactval.leverage", "configparser"),
 }
 
@@ -174,11 +169,10 @@ def test_short_commands_load_only_what_they_run(command, tmp_path):
 
 def test_array_commands_load_numpy_when_run(tmp_path):
     proc = run_fresh(
-        """
+        f"""
         import sys
         from impactval.cli import main
-        assert main(["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid",
-                     "0.1:0.2:3", "--trials", "50", "--out", "curve.csv"]) == 0
+        assert main({[*BANKRUPTCY, "--out", "curve.csv"]!r}) == 0
         assert "numpy" in sys.modules
         """,
         tmp_path,
@@ -236,8 +230,8 @@ def test_import_cli_loads_only_what_every_command_needs(tmp_path):
         """
         import sys
         import impactval.cli
-        deferred = ("configparser", "json", "csv", "datetime", "impactval.leverage",
-                    "impactval.montecarlo", "numpy")
+        deferred = ("configparser", "json", "csv", "datetime", "impactval.estimation",
+                    "impactval.leverage", "impactval.montecarlo", "numpy")
         loaded = [name for name in deferred if name in sys.modules]
         assert not loaded, loaded
         """,

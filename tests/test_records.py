@@ -17,7 +17,7 @@ import pytest
 import impactval
 from impactval.estimation import EstimationPolicy, MarketSeries
 from impactval.impact import ImpactParams, Validity, ValidityReport
-from impactval.leverage import CriticalityReport, Regime, TrajectoryPoint
+from impactval.leverage import TRAJECTORY_COLUMNS, CriticalityReport, Regime, TrajectoryPoint
 from impactval.montecarlo import (
     BankruptcyMode,
     FittedTransition,
@@ -184,3 +184,12 @@ def test_the_contract_covers_every_public_record():
             and not name.startswith("_") and not issubclass(obj, enum.Enum)
         }
     assert records == {case[0] for case in RECORDS}
+
+
+def test_trajectory_point_fields_are_the_csv_columns():
+    assert tuple(inspect.signature(TrajectoryPoint).parameters) == TRAJECTORY_COLUMNS
+    match TrajectoryPoint(*range(7)):  # fields match by position, in column order
+        case TrajectoryPoint(0, 1, 2, 3, 4, 5, 6):
+            pass
+        case unmatched:
+            pytest.fail(f"{unmatched!r} does not match by position")
