@@ -10,10 +10,11 @@ Both sides run the same cases, each in its own interpreter:
 
 - every command the benchmark workloads in ``bench/workloads.py`` send,
   and every subcommand in each of its formats, plus usage and data errors,
-  each memory-budget refusal, walks whose sums could overflow, a warning,
-  each subcommand's ``--help`` and CSV and JSON written with ``--out``, as
-  ``python -m impactval.cli`` subprocesses: exit code, stdout, stderr and
-  the ``--out`` file are compared;
+  each memory-budget refusal, walks whose sums could overflow, a position
+  whose market value overflows, a warning, each subcommand's ``--help``
+  and CSV and JSON written with ``--out``, as ``python -m impactval.cli``
+  subprocesses: exit code, stdout, stderr and the ``--out`` file are
+  compared;
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
   on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
   two-day points, on 100 points of 1 to 256 days, at noise_sigma 1e300
@@ -27,6 +28,9 @@ Both sides run the same cases, each in its own interpreter:
   ``LiquidationSchedule.from_participation`` and its ``MonteCarloConfig``,
   the error of each checked constructor on a bad field, each checked
   record's ``inspect.signature`` and its ``_replace`` with a bad field;
+- a ``MarketSeries`` with tuple columns after a ``pickle`` round trip,
+  ``==`` and ``hash`` of two such twins, and the ``AttributeError`` of
+  assigning or deleting a field of it and of a trajectory point;
 - the ``repr`` of the points of ``deleverage_trajectory`` (past x_c, where
   leverage diverges) and of ``entry_exit_trajectories``, as built and after
   a ``pickle`` round trip.
@@ -71,6 +75,7 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         encoding="utf-8",
     )
     position = ["--Q", "1e6", "--p0", "10", "--L", "5e6", "--sigma", "2%", "--V", "1e5"]
+    overflowing = ["--Q", "1e308", "--p0", "10", "--sigma", "2%", "--V", "1e6"]
     curve = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0:0.3:7",
              "--trials", "300", "--sigma", "1%"]
     overflow = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--sigma", "1%",
@@ -93,6 +98,12 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         "critical-lambda0": ["critical", "--lambda0", "9"],
         "critical-position": ["critical", *position, "--format", "json"],
         "critical-none": ["critical"],
+        # A position whose market value Q * p0 overflows a float.
+        "critical-overflow": ["critical", *overflowing],
+        "trajectory-overflow": ["trajectory", *overflowing, "--grid", "3"],
+        "trajectory-roundtrip-overflow": ["trajectory", "--mode", "roundtrip", *overflowing,
+                                          "--grid", "3"],
+        "value-overflow": ["value", *overflowing, "--format", "json"],
         "bankruptcy-text": [*curve, "--seed", "7"],
         "bankruptcy-csv": [*curve, "--seed", "8", "--format", "csv"],
         "bankruptcy-anywhere": [*curve, "--seed", "9", "--mc-mode", "anywhere"],
@@ -240,6 +251,12 @@ def library_records(work: Path) -> dict:
     position = valuation.Position(Q=1e5, p0=10.0, L=9.9e5)
     schedule = mc.LiquidationSchedule.from_participation(Q=1e5, V=1e6, eta=0.01)
     config = mc.MonteCarloConfig(position, params, schedule, n_trials=200, master_seed=3)
+
+    def tuple_series():
+        return estimation.MarketSeries(
+            (date(2024, 1, 2), date(2024, 1, 3)), (10.5, 10.25), (1e6, 2e6), (1e-3, 2e-3)
+        )
+
     trajectories = {  # x_c is 0.15 at lambda0 = 9, calI = 0.3
         "exit": leverage.deleverage_trajectory(9.0, 0.3, leverage.linspace(0.0, 1.0, 6)),
         "roundtrip": leverage.entry_exit_trajectories(position, params, grid_size=4),
@@ -266,6 +283,13 @@ def library_records(work: Path) -> dict:
             [date(2024, 1, 2), date(2024, 1, 1)], [1.0, 2.0], [1.0, 1.0]
         ),
         "bad-policy": lambda: estimation.EstimationPolicy(halflife_days=0),
+        "series-pickled": lambda: pickle.loads(pickle.dumps(tuple_series())),
+        "series-twins": lambda: (tuple_series() == tuple_series(),
+                                 hash(tuple_series()) == hash(tuple_series())),
+        "series-assign": lambda: setattr(tuple_series(), "close", ()),
+        "series-delete": lambda: delattr(tuple_series(), "close"),
+        "trajectory-assign": lambda: setattr(trajectories["exit"][0], "x", 1.0),
+        "trajectory-delete": lambda: delattr(trajectories["exit"][0], "lambda_adj"),
         "bad-schedule": lambda: mc.LiquidationSchedule(Q=1.0, delta_q=-1.0, V=1.0),
         "bad-config": lambda: mc.MonteCarloConfig(position, params, schedule, 200, -1),
         "replace-params": lambda: params._replace(V=-1.0),
@@ -284,8 +308,8 @@ def library_records(work: Path) -> dict:
     for name, build in built.items():
         try:
             result = repr(build())
-        except ValueError as exc:
-            result = f"ValueError: {exc}"
+        except (AttributeError, ValueError) as exc:
+            result = f"{type(exc).__name__}: {exc}"
         records[f"record {name}"] = result
     return records
 

@@ -106,6 +106,8 @@ def _leverage_and_impact(args) -> tuple[float, float]:
     lambda0 = lev.mtm_leverage(args.Q, args.p0, args.L)
     if math.isinf(lambda0):
         raise ValueError("position has non-positive equity; leverage is undefined")
+    if math.isnan(lambda0):  # Q * p0 overflowed, as Position refuses
+        raise ValueError(f"Q * p0 must be finite, got {args.Q} * {args.p0}")
     return lambda0, expected_impact(params, args.Q)
 
 

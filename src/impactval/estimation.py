@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .impact import ImpactParams
+from .impact import ImpactParams, _Frozen
 
 if TYPE_CHECKING:
     from datetime import date
@@ -22,7 +22,7 @@ REQUIRED_COLUMNS = ("date", "close", "volume")
 OPTIONAL_COLUMNS = ("spread", "best_quote_volume")
 
 
-class MarketSeries:
+class MarketSeries(_Frozen):
     """Daily market data, oldest first; columns are float sequences (lists or arrays).
 
     Immutable: assigning or deleting a column raises AttributeError.
@@ -54,30 +54,6 @@ class MarketSeries:
                     raise ValueError(f"non-finite {name} at row {row}")
                 if value <= 0 and name in ("close", "volume"):
                     raise ValueError(f"non-positive {name} at row {row}")
-
-    def _columns(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy through the checked constructor
-        return type(self), self._columns()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._columns() == other._columns()
-
-    def __hash__(self) -> int:
-        return hash(self._columns())
 
     def __len__(self) -> int:
         return len(self.dates)

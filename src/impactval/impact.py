@@ -34,6 +34,38 @@ class Validity(Enum):
     WARN_LARGE_PARTICIPATION = "WARN_LARGE_PARTICIPATION"
 
 
+# A record that is not a tuple (TrajectoryPoint, MarketSeries) subclasses
+# _Frozen: its fields are its __slots__, which its __init__ sets with
+# object.__setattr__.  It compares, hashes, pickles (through the constructor,
+# so that a checked one checks again) and prints by those fields, in order.
+class _Frozen:
+    __slots__ = ()  # else every subclass instance would carry a __dict__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 # A NamedTuple class may not define __init__, so each checked record is a
 # NamedTuple of its fields and a subclass whose __init__ checks them.  The
 # subclass points __init__.__wrapped__ at the NamedTuple's __new__, so that

@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
-from .impact import ImpactParams, expected_impact, impact_from_spread
+from .impact import ImpactParams, _Frozen, expected_impact, impact_from_spread
 from .valuation import Position, remaining_liquidation_value
 
 #: Sentinel carried by trajectory data where leverage diverges.
@@ -53,7 +53,7 @@ TRAJECTORY_COLUMNS = (
 # the benchmark's analytics workload fit a run and so which command its tail
 # percentile reads.  That speed-up belongs with the columnar trajectory export
 # (ROADMAP items 1 and 6).
-class TrajectoryPoint:
+class TrajectoryPoint(_Frozen):
     """One sample of a leverage path (exit or entry leg).
 
     Immutable: assigning or deleting a field raises AttributeError.
@@ -79,30 +79,6 @@ class TrajectoryPoint:
         object.__setattr__(self, "lambda_noimpact", lambda_noimpact)
         object.__setattr__(self, "lambda_mtm", lambda_mtm)
         object.__setattr__(self, "lambda_adj", lambda_adj)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in TRAJECTORY_COLUMNS)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy through the constructor
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in TRAJECTORY_COLUMNS)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 class CriticalityReport(NamedTuple):
@@ -196,9 +172,9 @@ def deleverage_trajectory(
     impact-adjusted leverage.  Where a leverage measure diverges the point
     carries the DIVERGED sentinel; divergence is data, not an error.
     """
-    if lambda0 < 1.0:
+    if not 1.0 <= lambda0 < math.inf:
         raise ValueError(f"lambda0 must be >= 1, got {lambda0}")
-    if calI < 0.0:
+    if not 0.0 <= calI < math.inf:
         raise ValueError(f"calI must be non-negative, got {calI}")
     # Normalized impact-adjusted equity, constant along the exit.
     adj_equity = 1.0 / lambda0 - (2.0 / 3.0) * calI
@@ -228,7 +204,7 @@ def deleverage_trajectory(
 
 def small_x_expansion(lambda0: float, calI: float, x: float) -> float:
     """Leading small-x behaviour lambda0 * (1 + (lambda0 - 1) * calI * sqrt(x))."""
-    if x < 0.0:
+    if not 0.0 <= x < math.inf:
         raise ValueError(f"x must be non-negative, got {x}")
     return lambda0 * (1.0 + (lambda0 - 1.0) * calI * math.sqrt(x))
 
@@ -246,9 +222,9 @@ def crossover_point(lambda0: float, calI: float) -> float:
     misses it (by more than 1e-6 relative at lambda0 = 9, calI = 0.10); the
     derivation's denominator is 2*(1 - lambda0/3)*calI, and the ratio is u*.
     """
-    if lambda0 < 1.0:
+    if not 1.0 <= lambda0 < math.inf:
         raise ValueError(f"lambda0 must be >= 1, got {lambda0}")
-    if calI < 0.0:
+    if not 0.0 <= calI < math.inf:
         raise ValueError(f"calI must be non-negative, got {calI}")
     if lambda0 * calI >= CRITICAL_PRODUCT:
         raise ValueError(
@@ -272,9 +248,9 @@ def bankruptcy_point(lambda0: float, calI: float) -> float | None:
     Returns None for subcritical inputs (lambda0 * calI < 3/2); returns 1.0
     exactly at the critical product.
     """
-    if lambda0 <= 1.0:
+    if not 1.0 < lambda0 < math.inf:
         raise ValueError(f"lambda0 must be > 1, got {lambda0}")
-    if calI <= 0.0:
+    if not 0.0 < calI < math.inf:
         raise ValueError(f"calI must be positive, got {calI}")
     product = lambda0 * calI
     # The cubic's left side, lambda0*calI*u*(1 - u^2/3) - 1, at u = 1.
@@ -291,14 +267,14 @@ def bankruptcy_point(lambda0: float, calI: float) -> float | None:
 
 def critical_impact(lambda0: float) -> float:
     """Full-position impact above which leverage lambda0 cannot be unwound: 3/(2*lambda0)."""
-    if lambda0 <= 0.0:
+    if not 0.0 < lambda0 < math.inf:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     return CRITICAL_PRODUCT / lambda0
 
 
 def critical_leverage(params: ImpactParams, Q: float) -> float:
     """Leverage above which liquidating Q diverges: (3 / (2*Y*sigma)) * sqrt(V/Q)."""
-    if Q <= 0.0:
+    if not 0.0 < Q < math.inf:
         raise ValueError(f"Q must be positive, got {Q}")
     cal_i = expected_impact(params, Q)
     if cal_i <= 0.0:
@@ -332,9 +308,9 @@ def impact_adjusted_leverage_exit(pos: Position, params: ImpactParams, sold: flo
 
 def classify(lambda0: float, calI: float) -> CriticalityReport:
     """Regime of a (lambda0, calI) pair with the applicable transition fractions."""
-    if lambda0 <= 1.0:
+    if not 1.0 < lambda0 < math.inf:
         raise ValueError(f"lambda0 must be > 1, got {lambda0}")
-    if calI < 0.0:
+    if not 0.0 <= calI < math.inf:
         raise ValueError(f"calI must be non-negative, got {calI}")
     product = lambda0 * calI
     i_c = critical_impact(lambda0)

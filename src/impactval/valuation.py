@@ -44,6 +44,8 @@ class Position(_Position):
             raise ValueError(f"p0 must be positive, got {self.p0}")
         if self.L < 0:
             raise ValueError(f"L must be non-negative, got {self.L}")
+        if not math.isfinite(self.Q * self.p0):
+            raise ValueError(f"Q * p0 must be finite, got {self.Q} * {self.p0}")
 
     __init__.__wrapped__ = _Position.__new__
     _make = classmethod(lambda cls, iterable: cls(*iterable))

@@ -241,6 +241,24 @@ def test_trajectory_grid_below_two_exit_1(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical"],
+        ["trajectory", "--grid", "3"],
+        ["value", "--format", "json"],
+        ["trajectory", "--mode", "roundtrip", "--grid", "3"],
+    ],
+    ids=["critical", "trajectory", "value", "roundtrip"],
+)
+def test_position_whose_market_value_overflows_exit_1(capsys, argv):
+    position = ["--Q", "1e308", "--p0", "10", "--sigma", "2%", "--V", "1e6"]
+    code, out, err = run(capsys, *argv, *position)
+    assert code == 1
+    assert out == ""
+    assert err == "error: Q * p0 must be finite, got 1e+308 * 10.0\n"
+
+
 def test_critical_lambda0_only(capsys):
     code, out, _ = run(capsys, "critical", "--lambda0", "9", "--format", "json")
     assert code == 0

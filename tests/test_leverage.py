@@ -555,6 +555,32 @@ def test_classify_validation():
         classify(9.0, -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: classify(bad, 0.1),
+        lambda bad: classify(9.0, bad),
+        lambda bad: critical_impact(bad),
+        lambda bad: crossover_point(bad, 0.1),
+        lambda bad: crossover_point(9.0, bad),
+        lambda bad: bankruptcy_point(bad, 0.2),
+        lambda bad: bankruptcy_point(9.0, bad),
+        lambda bad: critical_leverage(ImpactParams(Y=1.0, sigma=0.02, V=1e6), bad),
+        lambda bad: deleverage_trajectory(bad, 0.1, [0.0, 0.5]),
+        lambda bad: deleverage_trajectory(9.0, bad, [0.0, 0.5]),
+        lambda bad: small_x_expansion(9.0, 0.1, bad),
+    ],
+    ids=["classify-lambda0", "classify-calI", "critical_impact", "crossover_point-lambda0",
+         "crossover_point-calI", "bankruptcy_point-lambda0", "bankruptcy_point-calI",
+         "critical_leverage-Q", "deleverage_trajectory-lambda0", "deleverage_trajectory-calI",
+         "small_x_expansion-x"],
+)
+def test_closed_forms_refuse_nan_and_inf(call, bad):
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        call(bad)
+
+
 def test_round_trip_no_impact_coincides():
     pos = Position(Q=1e6, p0=10.0, E0=2e6)
     params = ImpactParams(Y=1.0, sigma=0.0, V=1e6)

@@ -10,6 +10,7 @@ import enum
 import importlib
 import inspect
 import pickle
+import weakref
 from datetime import date
 
 import pytest
@@ -163,6 +164,9 @@ def test_record_contract(cls, given, defaults, text, bad):
     with pytest.raises(AttributeError):
         delattr(record, next(iter(given)))
     assert record == twin
+    assert not hasattr(record, "__dict__")  # every record keeps its fields in slots
+    with pytest.raises(TypeError):
+        weakref.ref(record)
     if bad is not None:
         changes, message = bad
         builds = [lambda: cls(**{**given, **changes})]

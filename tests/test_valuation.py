@@ -33,6 +33,8 @@ def test_position_validation():
         Position(Q=1.0, p0=0.0)
     with pytest.raises(ValueError, match=r"^L must be non-negative, got -1\.0$"):
         Position(Q=1.0, p0=1.0, L=-1.0)
+    with pytest.raises(ValueError, match=r"^Q \* p0 must be finite, got 1e\+308 \* 10\.0$"):
+        Position(Q=1e308, p0=10.0)
 
 
 @pytest.mark.parametrize("field", ["Q", "p0", "L", "E0"])
