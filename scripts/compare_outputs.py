@@ -11,7 +11,8 @@ Both sides run the same cases, each in its own interpreter:
 - every command the benchmark workloads in ``bench/workloads.py`` send,
   and every subcommand in each of its formats, plus usage and data errors,
   each memory-budget refusal, walks whose sums could overflow, a position
-  whose market value overflows, a warning, each subcommand's ``--help``
+  whose market value overflows and positions out of their domain in each
+  command that reads one, a warning, each subcommand's ``--help``
   and CSV and JSON written with ``--out``, as ``python -m impactval.cli``
   subprocesses: exit code, stdout, stderr and the ``--out`` file are
   compared;
@@ -29,8 +30,9 @@ Both sides run the same cases, each in its own interpreter:
   the error of each checked constructor on a bad field, each checked
   record's ``inspect.signature`` and its ``_replace`` with a bad field;
 - a ``MarketSeries`` with tuple columns after a ``pickle`` round trip,
-  ``==`` and ``hash`` of two such twins, and the ``AttributeError`` of
-  assigning or deleting a field of it and of a trajectory point;
+  ``==`` and ``hash`` of two such twins and of two twins with numpy-array
+  columns, ``hash`` of ``load_series``'s result, and the ``AttributeError``
+  of assigning or deleting a field of a series and of a trajectory point;
 - the ``repr`` of the points of ``deleverage_trajectory`` (past x_c, where
   leverage diverges) and of ``entry_exit_trajectories``, as built and after
   a ``pickle`` round trip.
@@ -89,6 +91,10 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         "trajectory-csv": ["trajectory", "--lambda0", "9", "--impact", "0.25", "--grid", "21",
                            "--format", "csv"],
         "trajectory-position": ["trajectory", *position, "--grid", "11"],
+        # --lambda0 takes precedence over a position, and needs --impact.
+        "trajectory-lambda0-position": ["trajectory", "--lambda0", "9", *position, "--grid", "3"],
+        "trajectory-lambda0-impact-position": ["trajectory", "--lambda0", "9", "--impact", "0.1",
+                                               *position, "--grid", "3"],
         "trajectory-roundtrip": ["trajectory", "--mode", "roundtrip", "--Q", "1e6", "--p0", "10",
                                  "--E0", "1.1e6", "--sigma", "19%", "--V", "1e6", "--grid", "11"],
         "trajectory-json": ["trajectory", "--lambda0", "9", "--impact", "0.15", "--format", "json"],
@@ -124,7 +130,7 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
                                         "--impact-grid", "0:0.3:1000000"],
         "bankruptcy-horizon-over-budget": ["bankruptcy", "--lambda0", "9", "--eta", "1e-9"],
         "trajectory-over-budget": ["trajectory", "--lambda0", "9", "--impact", "0.1",
-                                   "--grid", "3000000"],
+                                   "--grid", "4000000"],
         "trajectory-roundtrip-over-budget": ["trajectory", "--mode", "roundtrip", "--Q", "1e6",
                                              "--p0", "10", "--sigma", "19%", "--V", "1e6",
                                              "--grid", "3000000"],
@@ -144,6 +150,13 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
     }
     for command in ("value", "trajectory", "critical", "bankruptcy", "report", "estimate"):
         argvs[f"{command}-help"] = [command, "--help"]
+    # Positions out of their domain, in each command that reads one.
+    for command, argv in (("value", ["value"]), ("critical", ["critical"]),
+                          ("trajectory", ["trajectory", "--grid", "3"]),
+                          ("trajectory-roundtrip", ["trajectory", "--mode", "roundtrip"])):
+        for bad, flags in (("negative-L", ["--L", "-5"]), ("negative-Q", ["--Q", "-10"]),
+                           ("zero-p0", ["--p0", "0"])):
+            argvs[f"{command}-{bad}"] = [*argv, *position, *flags]
     cases += [(name, argv, None) for name, argv in argvs.items()]
     out = work / "out.txt"
     to_file = {
@@ -239,6 +252,8 @@ def library_records(work: Path) -> dict:
     import inspect
     from datetime import date
 
+    import numpy as np
+
     from impactval import estimation, impact, leverage, valuation
     from impactval import montecarlo as mc
 
@@ -255,6 +270,11 @@ def library_records(work: Path) -> dict:
     def tuple_series():
         return estimation.MarketSeries(
             (date(2024, 1, 2), date(2024, 1, 3)), (10.5, 10.25), (1e6, 2e6), (1e-3, 2e-3)
+        )
+
+    def array_series():
+        return estimation.MarketSeries(
+            [date(2024, 1, 2), date(2024, 1, 3)], np.array([10.5, 10.25]), np.array([1e6, 2e6])
         )
 
     trajectories = {  # x_c is 0.15 at lambda0 = 9, calI = 0.3
@@ -286,6 +306,10 @@ def library_records(work: Path) -> dict:
         "series-pickled": lambda: pickle.loads(pickle.dumps(tuple_series())),
         "series-twins": lambda: (tuple_series() == tuple_series(),
                                  hash(tuple_series()) == hash(tuple_series())),
+        "series-array-twins": lambda: (array_series() == array_series(),
+                                       hash(array_series()) == hash(array_series())),
+        "load-series-hash": lambda: (hash(estimation.load_series(series))
+                                     == hash(estimation.load_series(series))),
         "series-assign": lambda: setattr(tuple_series(), "close", ()),
         "series-delete": lambda: delattr(tuple_series(), "close"),
         "trajectory-assign": lambda: setattr(trajectories["exit"][0], "x", 1.0),
@@ -308,7 +332,7 @@ def library_records(work: Path) -> dict:
     for name, build in built.items():
         try:
             result = repr(build())
-        except (AttributeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             result = f"{type(exc).__name__}: {exc}"
         records[f"record {name}"] = result
     return records

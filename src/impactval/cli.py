@@ -98,17 +98,21 @@ def _add_position_flags(parser, required=False) -> None:
     parser.add_argument("--L", type=finite_float, default=0.0)
 
 
-def _leverage_and_impact(args) -> tuple[float, float]:
-    """(lambda0, calI) of the position given by --Q, --p0, --L and the impact parameters."""
+def _leverage_and_impact(args) -> tuple[float | None, float | None]:
+    """(lambda0, calI): --lambda0 and --impact as given, else those of the position
+    given by --Q, --p0, --L and the impact parameters, else (None, None)."""
+    if args.lambda0 is not None:
+        return args.lambda0, args.impact
+    if args.Q is None or args.p0 is None:
+        return None, None
     from . import leverage as lev
 
     params = _params_from_args(args)
-    lambda0 = lev.mtm_leverage(args.Q, args.p0, args.L)
+    pos = Position(Q=args.Q, p0=args.p0, L=args.L)
+    lambda0 = lev.mtm_leverage(pos.Q, pos.p0, pos.L)
     if math.isinf(lambda0):
         raise ValueError("position has non-positive equity; leverage is undefined")
-    if math.isnan(lambda0):  # Q * p0 overflowed, as Position refuses
-        raise ValueError(f"Q * p0 must be finite, got {args.Q} * {args.p0}")
-    return lambda0, expected_impact(params, args.Q)
+    return lambda0, expected_impact(params, pos.Q)
 
 
 def _write_text(args, text: str) -> None:
@@ -141,10 +145,10 @@ def cmd_value(args) -> int:
     pos = Position(Q=args.Q, p0=args.p0, L=args.L)
     mtm = pos.mtm_value
     adj = liquidation_value(pos, params)
-    impact = expected_impact(params, args.Q)
-    p_tilde = average_valuation_price(pos, params) if args.Q > 0 else args.p0
+    report = check_validity(params, pos.Q)
+    impact = report.impact
+    p_tilde = average_valuation_price(pos, params) if pos.Q > 0 else pos.p0
     haircut = (mtm - adj) / mtm if mtm > 0 else 0.0
-    report = check_validity(params, args.Q)
     payload = {
         "mtm_value": mtm,
         "impact_adjusted_value": adj,
@@ -184,11 +188,8 @@ def cmd_trajectory(args) -> int:
         entry, exit_leg = lev.entry_exit_trajectories(pos, params, grid_size=args.grid)
         points = entry + exit_leg
     else:
-        if args.lambda0 is not None and args.impact is not None:
-            lambda0, cal_i = args.lambda0, args.impact
-        elif args.Q is not None and args.p0 is not None:
-            lambda0, cal_i = _leverage_and_impact(args)
-        else:
+        lambda0, cal_i = _leverage_and_impact(args)
+        if cal_i is None:
             raise ValueError("need --lambda0 and --impact, or a full position with parameters")
         points = lev.deleverage_trajectory(lambda0, cal_i, lev.linspace(0.0, 1.0, args.grid))
     lev.write_trajectory_csv(points, args.out or sys.stdout)
@@ -198,12 +199,8 @@ def cmd_trajectory(args) -> int:
 def cmd_critical(args) -> int:
     from . import leverage as lev
 
-    if args.lambda0 is not None:
-        lambda0 = args.lambda0
-        cal_i = args.impact
-    elif args.Q is not None and args.p0 is not None:
-        lambda0, cal_i = _leverage_and_impact(args)
-    else:
+    lambda0, cal_i = _leverage_and_impact(args)
+    if lambda0 is None:
         raise ValueError("need --lambda0, or a full position with parameters")
 
     if cal_i is None:

@@ -23,7 +23,7 @@ OPTIONAL_COLUMNS = ("spread", "best_quote_volume")
 
 
 class MarketSeries(_Frozen):
-    """Daily market data, oldest first; columns are float sequences (lists or arrays).
+    """Daily market data, oldest first; columns are float sequences, stored as tuples.
 
     Immutable: assigning or deleting a column raises AttributeError.
     """
@@ -38,17 +38,17 @@ class MarketSeries(_Frozen):
         spread: Sequence[float] | None = None,
         best_quote_volume: Sequence[float] | None = None,
     ) -> None:
-        columns = (dates, close, volume, spread, best_quote_volume)
-        for name, col in zip(self.__slots__, columns):
-            object.__setattr__(self, name, col)
+        for name, col in zip(self.__slots__, (dates, close, volume, spread, best_quote_volume)):
+            object.__setattr__(self, name, None if col is None else tuple(col))
+        dates, *columns = self._values()
         n = len(dates)
-        for name, col in zip(self.__slots__[1:], columns[1:]):
+        for name, col in zip(self.__slots__[1:], columns):
             if col is not None and len(col) != n:
                 raise ValueError(f"column {name!r} has length {len(col)}, expected {n}")
         for i in range(1, n):
             if dates[i] <= dates[i - 1]:
                 raise ValueError(f"dates must be strictly increasing; violation at row {i + 1}")
-        for name, col in zip(self.__slots__[1:], columns[1:]):
+        for name, col in zip(self.__slots__[1:], columns):
             for row, value in enumerate(() if col is None else col, start=1):
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite {name} at row {row}")

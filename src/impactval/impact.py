@@ -111,9 +111,10 @@ class ImpactParams(_ImpactParams):
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when given, got {value}")
         if self.b is not None and not (B_TYPICAL_RANGE[0] <= self.b <= B_TYPICAL_RANGE[1]):
-            # Name the caller's line, also when a builder made the record.
+            # Name the caller's line, skipping the builders: _make, from_config_text
+            # and load here, _replace in collections.  exec'd code may lack __name__.
             frame, level = sys._getframe(1), 2
-            while frame.f_code in _BUILDER_CODES:
+            while frame.f_globals.get("__name__") in (__name__, "collections"):
                 frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"b={self.b} lies outside the typical range {B_TYPICAL_RANGE}",
@@ -161,16 +162,6 @@ class ImpactParams(_ImpactParams):
     @classmethod
     def load(cls, path: str | Path) -> "ImpactParams":
         return cls.from_config_text(Path(path).read_text(encoding="utf-8-sig"))
-
-
-# Code of the frames that lie between a caller and ImpactParams.__init__ when
-# _make (or _replace through it), from_config_text or load builds the record.
-_BUILDER_CODES = (
-    ImpactParams._make.__func__.__code__,
-    ImpactParams._replace.__code__,
-    ImpactParams.from_config_text.__func__.__code__,
-    ImpactParams.load.__func__.__code__,
-)
 
 
 class ValidityReport(NamedTuple):

@@ -97,12 +97,12 @@ class CriticalityReport(NamedTuple):
 MEMORY_BUDGET_BYTES = 1 << 30
 # Peak bytes per grid point of the objects a command builds, measured as the
 # slope of peak RSS up to 400k points (Python 3.11, 2-core Xeon VM): 1.2 KB
-# per bankruptcy curve point, 340 B per exit-trajectory point and 560 B per
-# round-trip grid value, which holds an entry and an exit point.
-# TRAJECTORY_POINT_BYTES lies above both trajectory figures, so that budget
-# errs on the safe side.
+# per bankruptcy curve point, and 337 B per exit-trajectory point and 282 B
+# per round-trip point (100k to 400k points).  TRAJECTORY_POINT_BYTES is the
+# larger trajectory slope rounded up to 16 B, so that budget errs on the safe
+# side.
 CURVE_POINT_BYTES = 1280
-TRAJECTORY_POINT_BYTES = 400
+TRAJECTORY_POINT_BYTES = 352
 
 
 def check_memory(needed: float, what: str) -> None:
@@ -348,7 +348,7 @@ def entry_exit_trajectories(
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     if pos.Q <= 0.0:
         raise ValueError("round-trip trajectories need a positive position size")
-    e0 = pos.E0 if pos.E0 is not None else pos.Q * pos.p0 - pos.L
+    e0 = pos.equity
     if e0 <= 0.0:
         raise ValueError(f"initial equity must be positive, got {e0}")
     q_total, p0 = pos.Q, pos.p0
@@ -377,16 +377,15 @@ def entry_exit_trajectories(
 
     cal_i = expected_impact(params, q_total)
     liab = p0 * q_total * (1.0 + (2.0 / 3.0) * cal_i) - e0
-    exit_pos = Position(Q=q_total, p0=p0, L=max(liab, 0.0))
     lambda0_ni = q_total * p0 / e0
     exit_leg: list[TrajectoryPoint] = []
     for x in xs:
         q_sold = x * q_total
         u = math.sqrt(x)
         marginal = p0 * (1.0 - cal_i * u)
-        cash = cash_raised(exit_pos, params, q_sold)
+        cash = cash_raised(pos, params, q_sold)
         mtm_assets = (q_total - q_sold) * marginal
-        adj_assets = remaining_liquidation_value(exit_pos, params, q_sold)
+        adj_assets = remaining_liquidation_value(pos, params, q_sold)
         exit_leg.append(
             TrajectoryPoint(
                 x=x,

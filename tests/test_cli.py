@@ -79,14 +79,14 @@ def test_grid_over_the_memory_budget_refused_before_it_is_built(monkeypatch, cap
 @pytest.mark.parametrize(
     "mode_flags, largest",
     [
-        (["--lambda0", "9", "--impact", "0.1"], 2621),
+        (["--lambda0", "9", "--impact", "0.1"], 2978),
         # Two points, entry and exit, per grid value.
-        (["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--sigma", "19%", "--V", "1e6"], 1310),
+        (["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--sigma", "19%", "--V", "1e6"], 1489),
     ],
     ids=["exit", "roundtrip"],
 )
 def test_trajectory_grid_over_the_memory_budget_exit_1(monkeypatch, capsys, mode_flags, largest):
-    # A 1 MiB budget holds 2621 trajectory points of 400 bytes.
+    # A 1 MiB budget holds 2978 trajectory points of 352 bytes.
     monkeypatch.setattr(lev, "MEMORY_BUDGET_BYTES", 2**20)
     code, out, _ = run(capsys, "trajectory", *mode_flags, "--grid", str(largest))
     assert code == 0 and out
@@ -241,7 +241,8 @@ def test_trajectory_grid_below_two_exit_1(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize(
+# Every command that reads a position through --Q, --p0 and --L.
+POSITION_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["critical"],
@@ -251,12 +252,46 @@ def test_trajectory_grid_below_two_exit_1(capsys, argv):
     ],
     ids=["critical", "trajectory", "value", "roundtrip"],
 )
+
+
+@POSITION_COMMANDS
 def test_position_whose_market_value_overflows_exit_1(capsys, argv):
     position = ["--Q", "1e308", "--p0", "10", "--sigma", "2%", "--V", "1e6"]
     code, out, err = run(capsys, *argv, *position)
     assert code == 1
     assert out == ""
     assert err == "error: Q * p0 must be finite, got 1e+308 * 10.0\n"
+
+
+@POSITION_COMMANDS
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--L", "-5"], "L must be non-negative, got -5.0"),
+        (["--Q", "-10"], "Q must be non-negative, got -10.0"),
+        (["--p0", "-1"], "p0 must be positive, got -1.0"),
+        (["--p0", "0"], "p0 must be positive, got 0.0"),
+    ],
+    ids=["negative-L", "negative-Q", "negative-p0", "zero-p0"],
+)
+def test_position_out_of_its_domain_exit_1(capsys, argv, flags, message):
+    position = ["--Q", "10", "--p0", "1", "--sigma", "2%", "--V", "1e6"]
+    code, out, err = run(capsys, *argv, *position, *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_trajectory_lambda0_takes_precedence_over_a_position(capsys):
+    position = ["--Q", "1e6", "--p0", "10", "--L", "5e6", "--sigma", "2%", "--V", "1e5"]
+    code, out, _ = run(capsys, "trajectory", "--lambda0", "9", "--impact", "0.1", *position,
+                       "--grid", "3")
+    assert code == 0
+    assert float(next(csv.DictReader(io.StringIO(out)))["lambda_mtm"]) == 9.0
+    code, out, err = run(capsys, "trajectory", "--lambda0", "9", *position, "--grid", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: need --lambda0 and --impact, or a full position with parameters\n"
 
 
 def test_critical_lambda0_only(capsys):

@@ -274,10 +274,21 @@ def test_load_series_reads_rows_as_dict_reader_did(tmp_path):
         "2e6,2024-01-02,2.0,101.0\n",
     )
     series = load_series(path)
-    assert series.close == [100.0, 101.0] and series.volume == [1e6, 2e6]
+    assert series.close == (100.0, 101.0) and series.volume == (1e6, 2e6)
     path = write_csv(tmp_path, "date,close,volume\n\n2024-01-01,100.0,1e6\n\n2024-01-02,1,x\n")
     with pytest.raises(ValueError, match="row 2: non-numeric volume value 'x'"):
         load_series(path)
+
+
+def test_series_stores_its_columns_as_tuples_that_compare_and_hash(tmp_path):
+    close, volume = [1.0, 2.0], [5.0, 6.0]
+    twins = [MarketSeries(trading_days(2), np.array(close), np.array(volume)) for _ in range(2)]
+    assert twins[0] == twins[1] and hash(twins[0]) == hash(twins[1])
+    series = MarketSeries(trading_days(2), close, volume)
+    close[1] = -1.0  # the caller's list changes after the checks
+    assert series.close == (1.0, 2.0) and series == twins[0]
+    path = write_csv(tmp_path, "date,close,volume\n2024-01-01,1.0,5.0\n2024-01-02,2.0,6.0\n")
+    assert hash(load_series(path)) == hash(series)
 
 
 @pytest.mark.parametrize(

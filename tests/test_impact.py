@@ -199,6 +199,15 @@ def test_params_warning_names_the_callers_line(build):
     assert w.lineno == build.__code__.co_firstlineno
 
 
+def test_params_warning_from_code_without_a_module_name():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec("ImpactParams(1.0, 0.02, 1e6, b=0.5)", {"ImpactParams": ImpactParams})
+    (w,) = caught
+    assert str(w.message) == "b=0.5 lies outside the typical range (0.6, 0.9)"
+    assert w.filename == "<string>"
+
+
 def test_params_warning_from_a_config_names_the_callers_line(tmp_path):
     text = "Y=1\nsigma=0.02\nV=1e6\nb=0.5\n"
     path = tmp_path / "params.ini"
