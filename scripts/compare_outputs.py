@@ -10,9 +10,10 @@ Both sides run the same cases, each in its own interpreter:
 
 - every command the benchmark workloads in ``bench/workloads.py`` send,
   and every subcommand in each of its formats, plus usage and data errors,
-  each memory-budget refusal, walks whose sums could overflow, a position
-  whose market value overflows and positions out of their domain in each
-  command that reads one, a warning, each subcommand's ``--help``
+  flags that a command would not read, each memory-budget refusal, walks
+  whose sums could overflow, a position whose market value overflows, a
+  round trip whose Q**1.5 overflows and positions out of their domain in
+  each command that reads one, a warning, each subcommand's ``--help``
   and CSV and JSON written with ``--out``, as ``python -m impactval.cli``
   subprocesses: exit code, stdout, stderr and the ``--out`` file are
   compared;
@@ -109,6 +110,17 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         "trajectory-overflow": ["trajectory", *overflowing, "--grid", "3"],
         "trajectory-roundtrip-overflow": ["trajectory", "--mode", "roundtrip", *overflowing,
                                           "--grid", "3"],
+        # Q * p0 is finite, but the exit leg's Q**1.5 is not.
+        "trajectory-roundtrip-overflow-1.5": ["trajectory", "--mode", "roundtrip", "--Q", "1e250",
+                                              "--p0", "1e-100", "--sigma", "2%", "--V", "1e6",
+                                              "--grid", "3"],
+        # A flag that the command would not read.
+        "critical-impact-position": ["critical", "--impact", "0.5", *position],
+        "trajectory-impact-position": ["trajectory", "--impact", "0.5", *position],
+        "trajectory-roundtrip-lambda0-impact": ["trajectory", "--mode", "roundtrip", "--lambda0",
+                                                "9", "--impact", "0.1", "--Q", "1e6", "--p0",
+                                                "10", "--sigma", "19%", "--V", "1e6", "--grid",
+                                                "2"],
         "value-overflow": ["value", *overflowing, "--format", "json"],
         "bankruptcy-text": [*curve, "--seed", "7"],
         "bankruptcy-csv": [*curve, "--seed", "8", "--format", "csv"],
@@ -129,11 +141,6 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         "bankruptcy-grid-over-budget": ["bankruptcy", "--lambda0", "9", "--eta", "10",
                                         "--impact-grid", "0:0.3:1000000"],
         "bankruptcy-horizon-over-budget": ["bankruptcy", "--lambda0", "9", "--eta", "1e-9"],
-        "trajectory-over-budget": ["trajectory", "--lambda0", "9", "--impact", "0.1",
-                                   "--grid", "4000000"],
-        "trajectory-roundtrip-over-budget": ["trajectory", "--mode", "roundtrip", "--Q", "1e6",
-                                             "--p0", "10", "--sigma", "19%", "--V", "1e6",
-                                             "--grid", "3000000"],
         "report-text": ["report"],
         "report-json": ["report", "--format", "json"],
         "report-csv": ["report", "--format", "csv"],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import math
 import sys
 import warnings
@@ -100,11 +101,14 @@ def _add_position_flags(parser, required=False) -> None:
 
 def _leverage_and_impact(args) -> tuple[float | None, float | None]:
     """(lambda0, calI): --lambda0 and --impact as given, else those of the position
-    given by --Q, --p0, --L and the impact parameters, else (None, None)."""
+    given by --Q, --p0, --L and the impact parameters, else (None, None).  A
+    position with --impact but no --lambda0 is refused."""
     if args.lambda0 is not None:
         return args.lambda0, args.impact
     if args.Q is None or args.p0 is None:
         return None, None
+    if args.impact is not None:
+        raise ValueError("--impact is ignored with a position; give --lambda0 with it")
     from . import leverage as lev
 
     params = _params_from_args(args)
@@ -173,25 +177,44 @@ def cmd_value(args) -> int:
     return 0
 
 
+class _Rows:
+    """Points that are built as they are written, and their count for ``len()``."""
+
+    __slots__ = ("_count", "_points")
+
+    def __init__(self, count: int, points) -> None:
+        self._count, self._points = count, points
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return iter(self._points)
+
+
 def cmd_trajectory(args) -> int:
     from . import leverage as lev
 
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
-    points = 2 * args.grid if args.mode == "roundtrip" else args.grid
-    lev.check_memory(points * lev.TRAJECTORY_POINT_BYTES, f"a {args.grid}-point grid")
     if args.mode == "roundtrip":
         if args.Q is None or args.p0 is None:
             raise ValueError("roundtrip mode requires --Q and --p0 plus impact parameters")
+        ignored = [flag for flag, value in (("--lambda0", args.lambda0), ("--impact", args.impact))
+                   if value is not None]
+        if ignored:
+            raise ValueError(f"roundtrip mode ignores {' and '.join(ignored)}; "
+                             "it reads the position")
         params = _params_from_args(args)
         pos = Position(Q=args.Q, p0=args.p0, L=args.L, E0=args.E0)
-        entry, exit_leg = lev.entry_exit_trajectories(pos, params, grid_size=args.grid)
-        points = entry + exit_leg
+        entry, exit_leg = lev._round_trip_points(pos, params, args.grid)
+        points = _Rows(2 * args.grid, itertools.chain(entry, exit_leg))
     else:
         lambda0, cal_i = _leverage_and_impact(args)
         if cal_i is None:
             raise ValueError("need --lambda0 and --impact, or a full position with parameters")
-        points = lev.deleverage_trajectory(lambda0, cal_i, lev.linspace(0.0, 1.0, args.grid))
+        grid = lev._spaced(0.0, 1.0, args.grid)
+        points = _Rows(args.grid, lev._exit_points(lambda0, cal_i, grid))
     lev.write_trajectory_csv(points, args.out or sys.stdout)
     return 0
 

@@ -22,7 +22,7 @@ import itertools
 import math
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .impact import ImpactParams, _Frozen, expected_impact, impact_from_spread
 from .valuation import Position, remaining_liquidation_value
@@ -95,14 +95,11 @@ class CriticalityReport(NamedTuple):
 
 # Most memory one command may ask for, checked before its grid or arrays are built.
 MEMORY_BUDGET_BYTES = 1 << 30
-# Peak bytes per grid point of the objects a command builds, measured as the
-# slope of peak RSS up to 400k points (Python 3.11, 2-core Xeon VM): 1.2 KB
-# per bankruptcy curve point, and 337 B per exit-trajectory point and 282 B
-# per round-trip point (100k to 400k points).  TRAJECTORY_POINT_BYTES is the
-# larger trajectory slope rounded up to 16 B, so that budget errs on the safe
-# side.
+# Peak bytes per transition-curve point of the objects a bankruptcy curve
+# builds, measured as the slope of peak RSS up to 400k points (Python 3.11,
+# 2-core Xeon VM).  Trajectories are written as they are built, so their
+# grid costs no memory.
 CURVE_POINT_BYTES = 1280
-TRAJECTORY_POINT_BYTES = 352
 
 
 def check_memory(needed: float, what: str) -> None:
@@ -120,14 +117,17 @@ def linspace(start: float, stop: float, count: int) -> list[float]:
     Element for element equal to ``numpy.linspace(start, stop, count).tolist()``:
     the same products ``i * step + start``, with the last value set to stop.
     """
+    return list(_spaced(start, stop, count))
+
+
+def _spaced(start: float, stop: float, count: int) -> Iterator[float]:
+    """The values of ``linspace``, made one at a time; ``count`` is checked now."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if count < 2:
-        return [start] * count
+        return itertools.repeat(start, count)
     step = (stop - start) / (count - 1)
-    values = [i * step + start for i in range(count)]
-    values[-1] = stop
-    return values
+    return itertools.chain((i * step + start for i in range(count - 1)), (stop,))
 
 
 def mtm_leverage(Q: float, p: float, L: float) -> float:
@@ -172,24 +172,33 @@ def deleverage_trajectory(
     impact-adjusted leverage.  Where a leverage measure diverges the point
     carries the DIVERGED sentinel; divergence is data, not an error.
     """
+    return list(_exit_points(lambda0, calI, grid))
+
+
+def _exit_points(lambda0: float, calI: float, grid: Iterable[float]) -> Iterator[TrajectoryPoint]:
+    """The points of ``deleverage_trajectory``, built one at a time.
+
+    lambda0 and calI are checked now, before the first point; each grid
+    value is checked as its point is built.
+    """
     if not 1.0 <= lambda0 < math.inf:
         raise ValueError(f"lambda0 must be >= 1, got {lambda0}")
     if not 0.0 <= calI < math.inf:
         raise ValueError(f"calI must be non-negative, got {calI}")
     # Normalized impact-adjusted equity, constant along the exit.
     adj_equity = 1.0 / lambda0 - (2.0 / 3.0) * calI
-    points = []
-    for x in grid:
-        x = float(x)
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"grid values must lie in [0, 1], got {x}")
-        u = math.sqrt(x)
-        marginal = 1.0 - calI * u
-        cash = x * (1.0 - (2.0 / 3.0) * calI * u)
-        remaining = (1.0 - x) - (2.0 / 3.0) * calI * (1.0 - x * u)
-        lam_adj = remaining / adj_equity if adj_equity > 0.0 else DIVERGED
-        points.append(
-            TrajectoryPoint(
+
+    def points():
+        for x in grid:
+            x = float(x)
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"grid values must lie in [0, 1], got {x}")
+            u = math.sqrt(x)
+            marginal = 1.0 - calI * u
+            cash = x * (1.0 - (2.0 / 3.0) * calI * u)
+            remaining = (1.0 - x) - (2.0 / 3.0) * calI * (1.0 - x * u)
+            lam_adj = remaining / adj_equity if adj_equity > 0.0 else DIVERGED
+            yield TrajectoryPoint(
                 x=x,
                 q_held=1.0 - x,
                 marginal_price=marginal,
@@ -198,8 +207,8 @@ def deleverage_trajectory(
                 lambda_mtm=deleverage_lambda(lambda0, calI, x),
                 lambda_adj=lam_adj,
             )
-        )
-    return points
+
+    return points()
 
 
 def small_x_expansion(lambda0: float, calI: float, x: float) -> float:
@@ -344,6 +353,17 @@ def entry_exit_trajectories(
     Returns (entry_points, exit_points); x is the fraction entered
     (resp. liquidated) on each leg.
     """
+    entry, exit_leg = _round_trip_points(pos, params, grid_size)
+    return list(entry), list(exit_leg)
+
+
+def _round_trip_points(
+    pos: Position, params: ImpactParams, grid_size: int
+) -> tuple[Iterator[TrajectoryPoint], Iterator[TrajectoryPoint]]:
+    """The two legs of ``entry_exit_trajectories``, each built one point at a time.
+
+    Every input is checked now, before the first point.
+    """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     if pos.Q <= 0.0:
@@ -352,19 +372,21 @@ def entry_exit_trajectories(
     if e0 <= 0.0:
         raise ValueError(f"initial equity must be positive, got {e0}")
     q_total, p0 = pos.Q, pos.p0
-    xs = linspace(0.0, 1.0, grid_size)
+    try:  # the exit leg's liquidation value takes Q**1.5
+        q_total**1.5
+    except OverflowError:
+        raise ValueError(f"Q**1.5 must be finite, got Q = {q_total}") from None
 
-    entry: list[TrajectoryPoint] = []
-    for x in xs:
-        q = x * q_total
-        impact_q = expected_impact(params, q)
-        marginal = p0 * (1.0 + impact_q)
-        spent = p0 * q * (1.0 + (2.0 / 3.0) * impact_q)
-        borrowing = spent - e0
-        mtm_assets = q * marginal
-        adj_assets = q * p0 * (1.0 - (2.0 / 3.0) * impact_q)
-        entry.append(
-            TrajectoryPoint(
+    def entry():
+        for x in _spaced(0.0, 1.0, grid_size):
+            q = x * q_total
+            impact_q = expected_impact(params, q)
+            marginal = p0 * (1.0 + impact_q)
+            spent = p0 * q * (1.0 + (2.0 / 3.0) * impact_q)
+            borrowing = spent - e0
+            mtm_assets = q * marginal
+            adj_assets = q * p0 * (1.0 - (2.0 / 3.0) * impact_q)
+            yield TrajectoryPoint(
                 x=x,
                 q_held=q,
                 marginal_price=marginal,
@@ -373,21 +395,20 @@ def entry_exit_trajectories(
                 lambda_mtm=_ratio_or_diverged(mtm_assets, mtm_assets - borrowing),
                 lambda_adj=_ratio_or_diverged(adj_assets, adj_assets - borrowing),
             )
-        )
 
     cal_i = expected_impact(params, q_total)
     liab = p0 * q_total * (1.0 + (2.0 / 3.0) * cal_i) - e0
     lambda0_ni = q_total * p0 / e0
-    exit_leg: list[TrajectoryPoint] = []
-    for x in xs:
-        q_sold = x * q_total
-        u = math.sqrt(x)
-        marginal = p0 * (1.0 - cal_i * u)
-        cash = cash_raised(pos, params, q_sold)
-        mtm_assets = (q_total - q_sold) * marginal
-        adj_assets = remaining_liquidation_value(pos, params, q_sold)
-        exit_leg.append(
-            TrajectoryPoint(
+
+    def exit_leg():
+        for x in _spaced(0.0, 1.0, grid_size):
+            q_sold = x * q_total
+            u = math.sqrt(x)
+            marginal = p0 * (1.0 - cal_i * u)
+            cash = cash_raised(pos, params, q_sold)
+            mtm_assets = (q_total - q_sold) * marginal
+            adj_assets = remaining_liquidation_value(pos, params, q_sold)
+            yield TrajectoryPoint(
                 x=x,
                 q_held=q_total - q_sold,
                 marginal_price=marginal,
@@ -396,8 +417,8 @@ def entry_exit_trajectories(
                 lambda_mtm=_ratio_or_diverged(mtm_assets, mtm_assets - liab + cash),
                 lambda_adj=_ratio_or_diverged(adj_assets, adj_assets - liab + cash),
             )
-        )
-    return entry, exit_leg
+
+    return entry(), exit_leg()
 
 
 def _ratio_or_diverged(assets: float, equity: float) -> float:
@@ -419,7 +440,7 @@ def write_csv(rows: Iterable[Sequence[str]], dest: str | Path | TextIO) -> None:
         csv.writer(dest).writerows(rows)
 
 
-def write_trajectory_csv(points: Sequence[TrajectoryPoint], dest: str | Path | TextIO) -> None:
+def write_trajectory_csv(points: Iterable[TrajectoryPoint], dest: str | Path | TextIO) -> None:
     """Write trajectory points as CSV; divergence serializes as the string 'inf'."""
     rows = ([repr(float(getattr(pt, col))) for col in TRAJECTORY_COLUMNS] for pt in points)
     write_csv(itertools.chain([TRAJECTORY_COLUMNS], rows), dest)

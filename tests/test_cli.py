@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,25 +77,134 @@ def test_grid_over_the_memory_budget_refused_before_it_is_built(monkeypatch, cap
     assert "argument --impact-grid: a 820-point grid needs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "mode_flags, largest",
+# The two trajectory modes on a subcritical position.
+TRAJECTORY_MODES = pytest.mark.parametrize(
+    "mode_flags, rows_per_value",
     [
-        (["--lambda0", "9", "--impact", "0.1"], 2978),
+        (["--lambda0", "9", "--impact", "0.1"], 1),
         # Two points, entry and exit, per grid value.
-        (["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--sigma", "19%", "--V", "1e6"], 1489),
+        (["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--sigma", "19%", "--V", "1e6"], 2),
     ],
     ids=["exit", "roundtrip"],
 )
-def test_trajectory_grid_over_the_memory_budget_exit_1(monkeypatch, capsys, mode_flags, largest):
-    # A 1 MiB budget holds 2978 trajectory points of 352 bytes.
+
+
+@TRAJECTORY_MODES
+def test_trajectory_grid_is_not_charged_to_the_memory_budget(monkeypatch, capsys, mode_flags,
+                                                             rows_per_value):
+    # Rows are written as they are built, so a grid that a 1 MiB budget
+    # would refuse at 352 bytes a point (2979 exit or 1490 roundtrip values)
+    # runs under that budget.
     monkeypatch.setattr(lev, "MEMORY_BUDGET_BYTES", 2**20)
-    code, out, _ = run(capsys, "trajectory", *mode_flags, "--grid", str(largest))
-    assert code == 0 and out
-    code, out, err = run(capsys, "trajectory", *mode_flags, "--grid", str(largest + 1))
+    grid = 2978 // rows_per_value + 1
+    code, out, err = run(capsys, "trajectory", *mode_flags, "--grid", str(grid))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + rows_per_value * grid
+
+
+class _Discard:
+    """A text sink that keeps only how many characters it was given."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+@TRAJECTORY_MODES
+def test_trajectory_export_memory_is_flat(monkeypatch, mode_flags, rows_per_value):
+    # 20k grid values as a list of points would take several MB; written as
+    # they are built they take what one row and the CSV writer take.
+    sink = _Discard()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["trajectory", *mode_flags, "--grid", "20000"]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 20000 * rows_per_value * 50
+    assert peak < 2**20
+
+
+@TRAJECTORY_MODES
+def test_trajectory_writer_is_given_its_row_count(monkeypatch, capsys, mode_flags,
+                                                  rows_per_value):
+    # The benchmark's tracer takes len() of the points write_trajectory_csv
+    # was given, after the call; it must equal the rows written.
+    calls = []
+    write = lev.write_trajectory_csv
+
+    def spy(points, dest):
+        buffer = io.StringIO()
+        write(points, buffer)
+        calls.append((len(points), buffer.getvalue()))
+        dest.write(buffer.getvalue())
+
+    monkeypatch.setattr(lev, "write_trajectory_csv", spy)
+    code, out, _ = run(capsys, "trajectory", *mode_flags, "--grid", "37")
+    assert code == 0
+    [(count, text)] = calls
+    assert text == out
+    assert count == len(out.splitlines()) - 1 == 37 * rows_per_value
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--lambda0", "0.5", "--impact", "0.1"], "lambda0 must be >= 1, got 0.5"),
+        (["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--L", "2e7", "--sigma", "19%",
+          "--V", "1e6"], "initial equity must be positive, got -10000000.0"),
+    ],
+    ids=["exit", "roundtrip"],
+)
+def test_refused_trajectory_leaves_out_untouched(tmp_path, capsys, argv, message):
+    # Every check runs before the output file is opened.
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"kept\r\n")
+    code, stdout, err = run(capsys, "trajectory", *argv, "--grid", "5", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert out.read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["critical", "--impact", "0.5", "--Q", "1e6", "--p0", "10", "--L", "5e6",
+          "--sigma", "2%", "--V", "1e5"],
+         "--impact is ignored with a position; give --lambda0 with it"),
+        (["trajectory", "--impact", "0.5", "--Q", "1e6", "--p0", "10", "--L", "5e6",
+          "--sigma", "2%", "--V", "1e5"],
+         "--impact is ignored with a position; give --lambda0 with it"),
+        (["trajectory", "--mode", "roundtrip", "--lambda0", "9", "--impact", "0.1", "--Q", "1e6",
+          "--p0", "10", "--sigma", "19%", "--V", "1e6", "--grid", "2"],
+         "roundtrip mode ignores --lambda0 and --impact; it reads the position"),
+        (["trajectory", "--mode", "roundtrip", "--impact", "0.1", "--Q", "1e6",
+          "--p0", "10", "--sigma", "19%", "--V", "1e6", "--grid", "2"],
+         "roundtrip mode ignores --impact; it reads the position"),
+    ],
+    ids=["critical", "trajectory", "roundtrip-both", "roundtrip-impact"],
+)
+def test_a_flag_the_command_would_ignore_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: a {largest + 1}-point grid needs")
-    assert len(err.splitlines()) == 1
+    assert err == f"error: {message}\n"
+
+
+def test_roundtrip_whose_liquidation_value_overflows_exit_1(capsys):
+    # Q * p0 is finite, but the exit leg's Q**1.5 is not.
+    code, out, err = run(capsys, "trajectory", "--mode", "roundtrip", "--Q", "1e250",
+                         "--p0", "1e-100", "--sigma", "2%", "--V", "1e6", "--grid", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: Q**1.5 must be finite, got Q = 1e+250\n"
 
 
 def test_value_empty_position(capsys):
