@@ -16,7 +16,9 @@ Both sides run the same cases, each in its own interpreter:
   each command that reads one, a warning, each subcommand's ``--help``
   and CSV and JSON written with ``--out``, as ``python -m impactval.cli``
   subprocesses: exit code, stdout, stderr and the ``--out`` file are
-  compared;
+  compared; also flags that trajectory would ignore (``--E0`` in exit
+  mode, ``--L`` beside ``--E0`` in a round trip) and finite flags whose
+  impact, lambda0 * calI or round-trip amounts overflow;
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
   on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
   two-day points, on 100 points of 1 to 256 days, at noise_sigma 1e300
@@ -33,7 +35,8 @@ Both sides run the same cases, each in its own interpreter:
 - a ``MarketSeries`` with tuple columns after a ``pickle`` round trip,
   ``==`` and ``hash`` of two such twins and of two twins with numpy-array
   columns, ``hash`` of ``load_series``'s result, and the ``AttributeError``
-  of assigning or deleting a field of a series and of a trajectory point;
+  of assigning or deleting a field of a series and of a trajectory point,
+  and whether a trajectory point equals the plain tuple of its fields;
 - the ``repr`` of the points of ``deleverage_trajectory`` (past x_c, where
   leverage diverges) and of ``entry_exit_trajectories``, as built and after
   a ``pickle`` round trip.
@@ -79,6 +82,10 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
     )
     position = ["--Q", "1e6", "--p0", "10", "--L", "5e6", "--sigma", "2%", "--V", "1e5"]
     overflowing = ["--Q", "1e308", "--p0", "10", "--sigma", "2%", "--V", "1e6"]
+    # A finite position whose impact Y * sigma * sqrt(Q / V) overflows.
+    tiny_v = ["--Q", "1e6", "--p0", "10", "--sigma", "2%", "--V", "1e-320"]
+    overflowing_assets = work / "overflowing-assets.ini"
+    overflowing_assets.write_text("[tiny-V]\nsigma = 2%\nV = 1e-320\nQ = 1e6\n", encoding="utf-8")
     curve = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0:0.3:7",
              "--trials", "300", "--sigma", "1%"]
     overflow = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--sigma", "1%",
@@ -122,6 +129,27 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
                                                 "10", "--sigma", "19%", "--V", "1e6", "--grid",
                                                 "2"],
         "value-overflow": ["value", *overflowing, "--format", "json"],
+        # --E0 in exit mode, and --L beside --E0 in a round trip.
+        "trajectory-E0": ["trajectory", *position, "--E0", "1", "--grid", "2"],
+        "trajectory-roundtrip-L-E0": ["trajectory", "--mode", "roundtrip", *position, "--E0",
+                                      "2e6", "--grid", "2"],
+        # An impact that overflows from finite flags, in each command that reads one.
+        "value-impact-overflow": ["value", *tiny_v],
+        "value-impact-overflow-json": ["value", *tiny_v, "--format", "json"],
+        "value-Y-sigma-overflow": ["value", "--Q", "0", "--p0", "10", "--sigma", "1e300",
+                                   "--Y", "1e300", "--V", "1"],
+        "critical-impact-overflow": ["critical", *tiny_v],
+        "trajectory-impact-overflow": ["trajectory", *tiny_v, "--grid", "3"],
+        "trajectory-roundtrip-impact-overflow": ["trajectory", "--mode", "roundtrip", *tiny_v,
+                                                 "--grid", "3"],
+        "report-impact-overflow": ["report", str(overflowing_assets)],
+        # lambda0 * calI, or a round trip's cash, that overflows (and so wrote nan).
+        "trajectory-product-overflow": ["trajectory", "--lambda0", "9", "--impact", "1e308",
+                                        "--grid", "3"],
+        "critical-product-overflow": ["critical", "--lambda0", "1e308", "--impact", "1e308"],
+        "trajectory-roundtrip-cash-overflow": ["trajectory", "--mode", "roundtrip", "--Q", "1e6",
+                                               "--p0", "10", "--E0", "1e6", "--sigma", "2%",
+                                               "--V", "1e6", "--grid", "3", "--Y", "1e308"],
         "bankruptcy-text": [*curve, "--seed", "7"],
         "bankruptcy-csv": [*curve, "--seed", "8", "--format", "csv"],
         "bankruptcy-anywhere": [*curve, "--seed", "9", "--mc-mode", "anywhere"],
@@ -321,6 +349,7 @@ def library_records(work: Path) -> dict:
         "series-delete": lambda: delattr(tuple_series(), "close"),
         "trajectory-assign": lambda: setattr(trajectories["exit"][0], "x", 1.0),
         "trajectory-delete": lambda: delattr(trajectories["exit"][0], "lambda_adj"),
+        "trajectory-tuple": lambda: leverage.TrajectoryPoint(*range(7)) == tuple(range(7)),
         "bad-schedule": lambda: mc.LiquidationSchedule(Q=1.0, delta_q=-1.0, V=1.0),
         "bad-config": lambda: mc.MonteCarloConfig(position, params, schedule, 200, -1),
         "replace-params": lambda: params._replace(V=-1.0),

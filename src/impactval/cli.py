@@ -96,7 +96,12 @@ def _add_params_flags(parser) -> None:
 def _add_position_flags(parser, required=False) -> None:
     parser.add_argument("--Q", type=finite_float, required=required)
     parser.add_argument("--p0", type=finite_float, required=required)
-    parser.add_argument("--L", type=finite_float, default=0.0)
+    parser.add_argument("--L", type=finite_float)  # None when not given: see _position
+
+
+def _position(args, E0=None) -> Position:
+    """The position of --Q, --p0 and --L, with no liabilities when --L is not given."""
+    return Position(Q=args.Q, p0=args.p0, L=0.0 if args.L is None else args.L, E0=E0)
 
 
 def _leverage_and_impact(args) -> tuple[float | None, float | None]:
@@ -112,7 +117,7 @@ def _leverage_and_impact(args) -> tuple[float | None, float | None]:
     from . import leverage as lev
 
     params = _params_from_args(args)
-    pos = Position(Q=args.Q, p0=args.p0, L=args.L)
+    pos = _position(args)
     lambda0 = lev.mtm_leverage(pos.Q, pos.p0, pos.L)
     if math.isinf(lambda0):
         raise ValueError("position has non-positive equity; leverage is undefined")
@@ -146,7 +151,7 @@ def _write_json(args, payload) -> None:
 
 def cmd_value(args) -> int:
     params = _params_from_args(args)
-    pos = Position(Q=args.Q, p0=args.p0, L=args.L)
+    pos = _position(args)
     mtm = pos.mtm_value
     adj = liquidation_value(pos, params)
     report = check_validity(params, pos.Q)
@@ -205,11 +210,15 @@ def cmd_trajectory(args) -> int:
         if ignored:
             raise ValueError(f"roundtrip mode ignores {' and '.join(ignored)}; "
                              "it reads the position")
+        if args.L is not None and args.E0 is not None:
+            raise ValueError("roundtrip mode ignores --L when --E0 is given; give one of them")
         params = _params_from_args(args)
-        pos = Position(Q=args.Q, p0=args.p0, L=args.L, E0=args.E0)
+        pos = _position(args, E0=args.E0)
         entry, exit_leg = lev._round_trip_points(pos, params, args.grid)
         points = _Rows(2 * args.grid, itertools.chain(entry, exit_leg))
     else:
+        if args.E0 is not None:
+            raise ValueError("exit mode ignores --E0; it is read in roundtrip mode")
         lambda0, cal_i = _leverage_and_impact(args)
         if cal_i is None:
             raise ValueError("need --lambda0 and --impact, or a full position with parameters")

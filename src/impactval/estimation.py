@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .impact import ImpactParams, _Frozen
+from .impact import ImpactParams
 
 if TYPE_CHECKING:
     from datetime import date
@@ -22,10 +22,13 @@ REQUIRED_COLUMNS = ("date", "close", "volume")
 OPTIONAL_COLUMNS = ("spread", "best_quote_volume")
 
 
-class MarketSeries(_Frozen):
+class MarketSeries:
     """Daily market data, oldest first; columns are float sequences, stored as tuples.
 
-    Immutable: assigning or deleting a column raises AttributeError.
+    Immutable: assigning or deleting a column raises AttributeError.  Not a
+    tuple, since its len() is its number of rows: it compares, hashes, pickles
+    (through the constructor, so that a loaded series checks again) and prints
+    by its columns, in order.
     """
 
     __slots__ = ("dates", "close", "volume", "spread", "best_quote_volume")
@@ -54,6 +57,30 @@ class MarketSeries(_Frozen):
                     raise ValueError(f"non-finite {name} at row {row}")
                 if value <= 0 and name in ("close", "volume"):
                     raise ValueError(f"non-positive {name} at row {row}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __len__(self) -> int:
         return len(self.dates)

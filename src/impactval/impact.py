@@ -34,38 +34,6 @@ class Validity(Enum):
     WARN_LARGE_PARTICIPATION = "WARN_LARGE_PARTICIPATION"
 
 
-# A record that is not a tuple (TrajectoryPoint, MarketSeries) subclasses
-# _Frozen: its fields are its __slots__, which its __init__ sets with
-# object.__setattr__.  It compares, hashes, pickles (through the constructor,
-# so that a checked one checks again) and prints by those fields, in order.
-class _Frozen:
-    __slots__ = ()  # else every subclass instance would carry a __dict__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
 # A NamedTuple class may not define __init__, so each checked record is a
 # NamedTuple of its fields and a subclass whose __init__ checks them.  The
 # subclass points __init__.__wrapped__ at the NamedTuple's __new__, so that
@@ -180,7 +148,10 @@ def expected_impact(params: ImpactParams, q: float) -> float:
     """Expected relative impact I(q) = Y * sigma * sqrt(q / V) of trading q shares."""
     if q < 0:
         raise ValueError(f"trade size must be non-negative, got {q}")
-    return params.Y * params.sigma * math.sqrt(q / params.V)
+    impact = params.Y * params.sigma * math.sqrt(q / params.V)
+    if not impact < math.inf:  # inf, or nan from an infinite Y * sigma times q = 0
+        raise ValueError(f"impact I(Q) must be finite, got Q = {q}, V = {params.V}")
+    return impact
 
 
 def impact_from_spread(Y: float, b: float, S: float, N: float) -> float:

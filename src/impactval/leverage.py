@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .impact import ImpactParams, _Frozen, expected_impact, impact_from_spread
+from .impact import ImpactParams, expected_impact, impact_from_spread
 from .valuation import Position, remaining_liquidation_value
 
 #: Sentinel carried by trajectory data where leverage diverges.
@@ -41,44 +41,20 @@ class Regime(Enum):
     SUPERCRITICAL = "SUPERCRITICAL"
 
 
+class TrajectoryPoint(NamedTuple):
+    """One sample of a leverage path (exit or entry leg); its fields are the CSV columns."""
+
+    x: float
+    q_held: float
+    marginal_price: float
+    cash: float
+    lambda_noimpact: float
+    lambda_mtm: float
+    lambda_adj: float
+
+
 #: Field names of a TrajectoryPoint, in CSV column order.
-TRAJECTORY_COLUMNS = (
-    "x", "q_held", "marginal_price", "cash", "lambda_noimpact", "lambda_mtm", "lambda_adj",
-)
-
-
-# A __slots__ class whose __init__ sets each field with one call, not a
-# NamedTuple.  A NamedTuple builds rows faster (a 100k-point exit export took
-# 1.05 s against 1.2 s on a 2-core Xeon VM), which changes how many rounds of
-# the benchmark's analytics workload fit a run and so which command its tail
-# percentile reads.  That speed-up belongs with the columnar trajectory export
-# (ROADMAP items 1 and 6).
-class TrajectoryPoint(_Frozen):
-    """One sample of a leverage path (exit or entry leg).
-
-    Immutable: assigning or deleting a field raises AttributeError.
-    """
-
-    __slots__ = TRAJECTORY_COLUMNS
-    __match_args__ = TRAJECTORY_COLUMNS
-
-    def __init__(
-        self,
-        x: float,
-        q_held: float,
-        marginal_price: float,
-        cash: float,
-        lambda_noimpact: float,
-        lambda_mtm: float,
-        lambda_adj: float,
-    ) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "q_held", q_held)
-        object.__setattr__(self, "marginal_price", marginal_price)
-        object.__setattr__(self, "cash", cash)
-        object.__setattr__(self, "lambda_noimpact", lambda_noimpact)
-        object.__setattr__(self, "lambda_mtm", lambda_mtm)
-        object.__setattr__(self, "lambda_adj", lambda_adj)
+TRAJECTORY_COLUMNS = TrajectoryPoint._fields
 
 
 class CriticalityReport(NamedTuple):
@@ -185,6 +161,8 @@ def _exit_points(lambda0: float, calI: float, grid: Iterable[float]) -> Iterator
         raise ValueError(f"lambda0 must be >= 1, got {lambda0}")
     if not 0.0 <= calI < math.inf:
         raise ValueError(f"calI must be non-negative, got {calI}")
+    if lambda0 * calI == math.inf:  # else lambda_mtm at x = 0 is inf * 0, nan
+        raise ValueError(f"lambda0 * calI must be finite, got {lambda0} * {calI}")
     # Normalized impact-adjusted equity, constant along the exit.
     adj_equity = 1.0 / lambda0 - (2.0 / 3.0) * calI
 
@@ -262,6 +240,8 @@ def bankruptcy_point(lambda0: float, calI: float) -> float | None:
     if not 0.0 < calI < math.inf:
         raise ValueError(f"calI must be positive, got {calI}")
     product = lambda0 * calI
+    if product == math.inf:  # else acos(-0.0) puts x_c near 1e-31
+        raise ValueError(f"lambda0 * calI must be finite, got {lambda0} * {calI}")
     # The cubic's left side, lambda0*calI*u*(1 - u^2/3) - 1, at u = 1.
     at_one = product * (1.0 - 1.0 / 3.0) - 1.0
     if at_one < 0.0:
@@ -397,6 +377,16 @@ def _round_trip_points(
             )
 
     cal_i = expected_impact(params, q_total)
+    # Each amount on either leg adds at most four terms, none larger than
+    # these; where such a sum could overflow (and turn into nan), refuse.
+    m = 1.0 + cal_i
+    sizes = (p0 * m, q_total * m, p0 * q_total * m, cal_i / math.sqrt(q_total), e0,
+             q_total * p0 / e0)
+    if not 8.0 * max(sizes) < math.inf:
+        raise ValueError(
+            f"round-trip amounts overflow a float at Q = {q_total}, p0 = {p0}, "
+            f"I(Q) = {cal_i}, equity {e0}"
+        )
     liab = p0 * q_total * (1.0 + (2.0 / 3.0) * cal_i) - e0
     lambda0_ni = q_total * p0 / e0
 
@@ -442,5 +432,5 @@ def write_csv(rows: Iterable[Sequence[str]], dest: str | Path | TextIO) -> None:
 
 def write_trajectory_csv(points: Iterable[TrajectoryPoint], dest: str | Path | TextIO) -> None:
     """Write trajectory points as CSV; divergence serializes as the string 'inf'."""
-    rows = ([repr(float(getattr(pt, col))) for col in TRAJECTORY_COLUMNS] for pt in points)
+    rows = ([repr(float(value)) for value in pt] for pt in points)
     write_csv(itertools.chain([TRAJECTORY_COLUMNS], rows), dest)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -9,11 +10,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import impactval
 from impactval import leverage as lev
@@ -188,14 +192,61 @@ def test_refused_trajectory_leaves_out_untouched(tmp_path, capsys, argv, message
         (["trajectory", "--mode", "roundtrip", "--impact", "0.1", "--Q", "1e6",
           "--p0", "10", "--sigma", "19%", "--V", "1e6", "--grid", "2"],
          "roundtrip mode ignores --impact; it reads the position"),
+        (["trajectory", "--Q", "1e6", "--p0", "10", "--L", "5e6", "--E0", "1", "--sigma", "2%",
+          "--V", "1e5", "--grid", "2"],
+         "exit mode ignores --E0; it is read in roundtrip mode"),
+        (["trajectory", "--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--L", "5e6", "--E0",
+          "2e6", "--sigma", "2%", "--V", "1e5", "--grid", "2"],
+         "roundtrip mode ignores --L when --E0 is given; give one of them"),
     ],
-    ids=["critical", "trajectory", "roundtrip-both", "roundtrip-impact"],
+    ids=["critical", "trajectory", "roundtrip-both", "roundtrip-impact", "exit-E0",
+         "roundtrip-L-and-E0"],
 )
 def test_a_flag_the_command_would_ignore_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+EXTREMES = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-10, 0.5, 1.0, 1.5, 9.0,
+            1e10, 1e150, 1e300, 1e308, 1.7976931348623157e308]
+extreme = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, None, allow_infinity=False))
+
+
+@st.composite
+def extreme_trajectory_argv(draw):
+    """A trajectory command in either mode, its numbers finite but possibly extreme."""
+    mode = draw(st.sampled_from(["exit", "roundtrip"]))
+    argv = ["trajectory", "--mode", mode, "--grid", str(draw(st.integers(2, 4)))]
+    if mode == "exit" and draw(st.booleans()):
+        names = ("--lambda0", "--impact")
+    else:
+        debt = "--L" if mode == "exit" or draw(st.booleans()) else "--E0"
+        names = ("--Q", "--p0", debt, "--Y", "--sigma", "--V")
+    for name in names:
+        if name not in ("--Y", "--L") or draw(st.booleans()):
+            argv.append(f"{name}={draw(extreme)!r}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_trajectory_argv())
+def test_trajectory_writes_no_nan_or_exits_1_untouched(argv):
+    # Overflow from finite inputs is refused before --out is opened.
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out.csv"
+        out.write_bytes(b"kept\r\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert out.read_bytes() == b"kept\r\n"
+        else:
+            assert (code, err.getvalue()) == (0, "")
+            with out.open(newline="") as handle:
+                assert "nan" not in {cell for row in csv.reader(handle) for cell in row}
 
 
 def test_roundtrip_whose_liquidation_value_overflows_exit_1(capsys):
@@ -205,6 +256,60 @@ def test_roundtrip_whose_liquidation_value_overflows_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: Q**1.5 must be finite, got Q = 1e+250\n"
+
+
+TINY_V_MESSAGE = "impact I(Q) must be finite, got Q = 1000000.0, V = 1e-320"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value"],
+        ["value", "--format", "json"],
+        ["critical"],
+        ["trajectory", "--grid", "3"],
+        ["trajectory", "--mode", "roundtrip", "--grid", "3"],
+    ],
+    ids=["value", "value-json", "critical", "trajectory", "roundtrip"],
+)
+def test_an_impact_that_overflows_exit_1(capsys, argv):
+    # Finite flags, but Y * sigma * sqrt(Q / V) overflows a float.
+    code, out, err = run(capsys, *argv, "--Q", "1e6", "--p0", "10", "--sigma", "2%",
+                         "--V", "1e-320")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {TINY_V_MESSAGE}\n"
+
+
+def test_report_puts_an_overflowing_impact_in_its_row(tmp_path, capsys):
+    assets = tmp_path / "assets.ini"
+    assets.write_text("[tiny-V]\nsigma = 2%\nV = 1e-320\nQ = 1e6\n", encoding="utf-8")
+    code, out, err = run(capsys, "report", str(assets), "--format", "json")
+    assert (code, err) == (0, "")
+    [row] = json.loads(out)
+    assert row["error"] == TINY_V_MESSAGE
+    assert row["impact_vol_based"] is None and row["lambda_c"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trajectory", "--lambda0", "9", "--impact", "1e308", "--grid", "3"],
+         "lambda0 * calI must be finite, got 9.0 * 1e+308"),
+        (["critical", "--lambda0", "1e308", "--impact", "1e308"],
+         "lambda0 * calI must be finite, got 1e+308 * 1e+308"),
+        (["trajectory", "--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--E0", "1e6",
+          "--sigma", "2%", "--V", "1e6", "--Y", "1e308", "--grid", "3"],
+         "round-trip amounts overflow a float at Q = 1000000.0, p0 = 10.0, I(Q) = 2e+306, "
+         "equity 1000000.0"),
+    ],
+    ids=["exit", "critical", "roundtrip"],
+)
+def test_amounts_that_would_overflow_to_nan_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_value_empty_position(capsys):

@@ -42,6 +42,20 @@ def test_expected_impact_rejects_negative_size():
         expected_impact(params, -1.0)
 
 
+@pytest.mark.parametrize(
+    "params, q",
+    [
+        (ImpactParams(Y=1.0, sigma=0.02, V=1e-320), 1e6),
+        (ImpactParams(Y=1e300, sigma=1e300, V=1e6), 1e6),
+        (ImpactParams(Y=1e300, sigma=1e300, V=1e6), 0.0),  # inf * sqrt(0) is nan
+    ],
+    ids=["tiny-V", "huge-Y-sigma", "huge-Y-sigma-zero-q"],
+)
+def test_expected_impact_refuses_an_overflow(params, q):
+    with pytest.raises(ValueError, match=f"must be finite, got Q = {q}, V = {params.V}$"):
+        expected_impact(params, q)
+
+
 def test_expected_impact_pure_square_root_law():
     params = ImpactParams(Y=1.3, sigma=0.017, V=3.7e7)
     rng = np.random.default_rng(11)

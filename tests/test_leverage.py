@@ -581,6 +581,36 @@ def test_closed_forms_refuse_nan_and_inf(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify(1e308, 1e308),
+        lambda: classify(9.0, 1e308),
+        lambda: bankruptcy_point(1e308, 1e308),
+        lambda: deleverage_trajectory(9.0, 1e308, [0.0, 0.5]),
+    ],
+    ids=["classify", "classify-calI", "bankruptcy_point", "deleverage_trajectory"],
+)
+def test_an_overflowing_lambda0_times_calI_is_refused(call):
+    # Else x_c came out near 1e-31, and lambda_mtm at x = 0 as inf * 0 = nan.
+    with pytest.raises(ValueError, match=r"lambda0 \* calI must be finite, got "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "pos, params",
+    [
+        (Position(Q=1e6, p0=10.0, E0=1e6), ImpactParams(Y=1e308, sigma=0.02, V=1e6)),
+        (Position(Q=1e6, p0=10.0, E0=1e-310), ImpactParams(Y=1.0, sigma=0.02, V=1e6)),
+        (Position(Q=1e-200, p0=1.0, E0=1e-201), ImpactParams(Y=1e200, sigma=1.0, V=1e-300)),
+    ],
+    ids=["cash", "no-impact-leverage", "remaining-value-slope"],
+)
+def test_round_trip_whose_amounts_overflow_is_refused(pos, params):
+    with pytest.raises(ValueError, match="^round-trip amounts overflow a float at "):
+        entry_exit_trajectories(pos, params, grid_size=3)
+
+
 def test_round_trip_no_impact_coincides():
     pos = Position(Q=1e6, p0=10.0, E0=2e6)
     params = ImpactParams(Y=1.0, sigma=0.0, V=1e6)

@@ -197,3 +197,18 @@ def test_trajectory_point_fields_are_the_csv_columns():
             pass
         case unmatched:
             pytest.fail(f"{unmatched!r} does not match by position")
+
+
+def test_a_pickle_of_the_former_slots_point_loads():
+    # Written by the __slots__ TrajectoryPoint, whose __reduce__ rebuilt it
+    # through the constructor with its fields in column order.
+    old = (
+        b"\x80\x04\x95n\x00\x00\x00\x00\x00\x00\x00\x8c\x12impactval.leverage\x94\x8c\x0f"
+        b"TrajectoryPoint\x94\x93\x94(G?\xd0\x00\x00\x00\x00\x00\x00G?\xe8\x00\x00\x00\x00"
+        b"\x00\x00G?\xeeffffffG?\xce\xb8Q\xeb\x85\x1e\xb8G@\x1b\x00\x00\x00\x00\x00\x00G@#"
+        b"\x00\x00\x00\x00\x00\x00G\x7f\xf0\x00\x00\x00\x00\x00\x00t\x94R\x94."
+    )
+    point = TrajectoryPoint(0.25, 0.75, 0.95, 0.24, 6.75, 9.5, float("inf"))
+    loaded = pickle.loads(old)
+    assert type(loaded) is TrajectoryPoint and loaded == point
+    assert TRAJECTORY_COLUMNS is TrajectoryPoint._fields
