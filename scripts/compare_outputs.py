@@ -17,8 +17,12 @@ Both sides run the same cases, each in its own interpreter:
   and CSV and JSON written with ``--out``, as ``python -m impactval.cli``
   subprocesses: exit code, stdout, stderr and the ``--out`` file are
   compared; also flags that trajectory would ignore (``--E0`` in exit
-  mode, ``--L`` beside ``--E0`` in a round trip) and finite flags whose
-  impact, lambda0 * calI or round-trip amounts overflow;
+  mode, ``--L`` beside ``--E0`` in a round trip), finite flags whose
+  impact, lambda0 * calI or round-trip amounts overflow, a ``value`` whose
+  impact-adjusted value overflows, a ``report`` asset whose spread-based
+  impact overflows, and the benchmark's two 100k-point exports, exit and
+  round trip, to stdout and to ``--out``; outputs are compared as bytes,
+  by their sha256 where longer than ``DIGEST_OVER`` bytes;
 - the ``repr`` of ``transition_curve`` on the benchmark's Monte Carlo grid,
   on the same grid at eta = 1, on the long-horizon path-wise grid, on 2000
   two-day points, on 100 points of 1 to 256 days, at noise_sigma 1e300
@@ -47,6 +51,7 @@ The script prints each case that differs and exits 1 if any does.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -60,6 +65,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RANDOM_CONFIGS = 160
+# Outputs longer than this many bytes are recorded as their sha256, not as text.
+DIGEST_OVER = 1 << 16
 
 
 def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
@@ -86,6 +93,15 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
     tiny_v = ["--Q", "1e6", "--p0", "10", "--sigma", "2%", "--V", "1e-320"]
     overflowing_assets = work / "overflowing-assets.ini"
     overflowing_assets.write_text("[tiny-V]\nsigma = 2%\nV = 1e-320\nQ = 1e6\n", encoding="utf-8")
+    spread_overflow_assets = work / "spread-overflow-assets.ini"
+    spread_overflow_assets.write_text("[tiny-v]\nQ = 1e6\nS = 1\nv = 1e-320\nb = 0.7\n",
+                                      encoding="utf-8")
+    # The benchmark's two trajectory exports, exit and round trip, at 100k points.
+    exports = {
+        "exit": ["trajectory", "--lambda0", "9.7", "--impact", "0.2", "--grid", "100000"],
+        "roundtrip": ["trajectory", "--mode", "roundtrip", "--Q", "1.3e6", "--p0", "20",
+                      "--E0", "3e6", "--sigma", "15%", "--V", "1.2e6", "--grid", "100000"],
+    }
     curve = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--impact-grid", "0:0.3:7",
              "--trials", "300", "--sigma", "1%"]
     overflow = ["bankruptcy", "--lambda0", "9", "--eta", "10", "--sigma", "1%",
@@ -143,6 +159,11 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         "trajectory-roundtrip-impact-overflow": ["trajectory", "--mode", "roundtrip", *tiny_v,
                                                  "--grid", "3"],
         "report-impact-overflow": ["report", str(overflowing_assets)],
+        # Finite impacts whose value, or whose spread-based twin, overflows.
+        "value-liquidation-overflow": ["value", "--Q", "1e300", "--p0", "1e7", "--sigma",
+                                       "1e10", "--V", "1"],
+        "report-spread-impact-overflow": ["report", str(spread_overflow_assets), "--format",
+                                          "json"],
         # lambda0 * calI, or a round trip's cash, that overflows (and so wrote nan).
         "trajectory-product-overflow": ["trajectory", "--lambda0", "9", "--impact", "1e308",
                                         "--grid", "3"],
@@ -192,12 +213,14 @@ def cli_cases(work: Path) -> list[tuple[str, list[str], Path | None]]:
         for bad, flags in (("negative-L", ["--L", "-5"]), ("negative-Q", ["--Q", "-10"]),
                            ("zero-p0", ["--p0", "0"])):
             argvs[f"{command}-{bad}"] = [*argv, *position, *flags]
+    argvs.update((f"trajectory-{mode}-100k", argv) for mode, argv in exports.items())
     cases += [(name, argv, None) for name, argv in argvs.items()]
     out = work / "out.txt"
     to_file = {
         "value-out": ["value", *position, "--format", "json"],
         "report-csv-out": ["report", str(assets), "--format", "csv"],
         "bankruptcy-out": [*curve, "--seed", "10"],
+        **{f"trajectory-{mode}-100k-out": argv for mode, argv in exports.items()},
     }
     cases += [(name, [*argv, "--out", str(out)], out) for name, argv in to_file.items()]
     return cases
@@ -210,14 +233,21 @@ def cli_records(work: Path) -> dict:
         if out is not None and out.exists():
             out.unlink()
         proc = subprocess.run([sys.executable, "-m", "impactval.cli", *argv], cwd=work,
-                              capture_output=True, text=True, timeout=600)
+                              capture_output=True, timeout=600)
         records[f"cli {name}"] = {
             "exit": proc.returncode,
-            "stdout": proc.stdout,
-            "stderr": proc.stderr,
-            "file": out.read_text(encoding="utf-8") if out is not None and out.exists() else None,
+            "stdout": _text(proc.stdout),
+            "stderr": _text(proc.stderr),
+            "file": _text(out.read_bytes()) if out is not None and out.exists() else None,
         }
     return records
+
+
+def _text(data: bytes) -> str:
+    """``data`` as text, line ends kept, or its size and sha256 if over DIGEST_OVER bytes."""
+    if len(data) > DIGEST_OVER:
+        return f"{len(data)} bytes, sha256 {hashlib.sha256(data).hexdigest()}"
+    return data.decode("utf-8", errors="backslashreplace")
 
 
 def curve_configs() -> list[tuple[str, tuple, dict]]:

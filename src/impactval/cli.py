@@ -319,15 +319,20 @@ def _asset_row(asset) -> dict:
         Y = 1.0
     sigma, V, Q = number("sigma", parse_fraction), number("V"), number("Q")
     S, v, b = number("S", parse_fraction), number("v"), number("b")
-    i1 = i2 = None
+    # The volume-based impact sets the critical leverage; the spread-based one
+    # does where the volume-based one is missing or zero.
+    i1 = i2 = lambda_c = None
     if sigma is not None and V is not None and Q is not None:
-        i1 = expected_impact(ImpactParams(Y=Y, sigma=sigma, V=V), Q)
+        params = ImpactParams(Y=Y, sigma=sigma, V=V)
+        i1 = expected_impact(params, Q)
+        if i1 > 0:
+            lambda_c = lev.critical_leverage(params, Q)
     if S is not None and v is not None and b is not None and Q is not None:
         if v <= 0:
             raise ValueError(f"v must be positive, got {v}")
         i2 = impact_from_spread(Y, b, S, Q / v)
-    # The volume-based impact sets the critical leverage when both exist.
-    positive = [i for i in (i1, i2) if i is not None and i > 0]
+        if lambda_c is None and i2 > 0:
+            lambda_c = lev.critical_leverage_from_spread(Y, b, S, Q / v)
     return {
         "sigma": sigma,
         "V": V,
@@ -335,7 +340,7 @@ def _asset_row(asset) -> dict:
         "v": v,
         "impact_vol_based": i1,
         "impact_spread_based": i2,
-        "lambda_c": lev.CRITICAL_PRODUCT / positive[0] if positive else None,
+        "lambda_c": lambda_c,
         "error": None if (i1 is not None or i2 is not None) else "no usable parameters",
     }
 

@@ -160,7 +160,10 @@ def impact_from_spread(Y: float, b: float, S: float, N: float) -> float:
         raise ValueError("Y, b and S must be positive")
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
-    return Y * b * S * math.sqrt(N)
+    impact = Y * b * S * math.sqrt(N)
+    if not impact < math.inf:  # inf, or nan from a nan or infinite input
+        raise ValueError(f"impact I must be finite, got Y = {Y}, b = {b}, S = {S}, N = {N}")
+    return impact
 
 
 def volatility_from_spread(b: float, S: float, phi: float, T: float) -> float:

@@ -18,6 +18,7 @@ error, so trajectories can be rendered across it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from enum import Enum
@@ -148,42 +149,50 @@ def deleverage_trajectory(
     impact-adjusted leverage.  Where a leverage measure diverges the point
     carries the DIVERGED sentinel; divergence is data, not an error.
     """
-    return list(_exit_points(lambda0, calI, grid))
+    return list(map(TrajectoryPoint._make, _exit_points(lambda0, calI, grid)))
 
 
-def _exit_points(lambda0: float, calI: float, grid: Iterable[float]) -> Iterator[TrajectoryPoint]:
-    """The points of ``deleverage_trajectory``, built one at a time.
+def _exit_points(
+    lambda0: float, calI: float, grid: Iterable[float]
+) -> Iterator[tuple[float, ...]]:
+    """The points of ``deleverage_trajectory`` as float tuples, built one at a time.
 
     lambda0 and calI are checked now, before the first point; each grid
-    value is checked as its point is built.
+    value is checked as its point is built.  Each value takes the same
+    float operations, in the same order, as its per-point formula
+    (deleverage_lambda for lambda_mtm), with the loop invariants computed
+    once, so it equals that formula's result bit for bit.
     """
     if not 1.0 <= lambda0 < math.inf:
         raise ValueError(f"lambda0 must be >= 1, got {lambda0}")
     if not 0.0 <= calI < math.inf:
         raise ValueError(f"calI must be non-negative, got {calI}")
-    if lambda0 * calI == math.inf:  # else lambda_mtm at x = 0 is inf * 0, nan
+    product = lambda0 * calI
+    if product == math.inf:  # else lambda_mtm at x = 0 is inf * 0, nan
         raise ValueError(f"lambda0 * calI must be finite, got {lambda0} * {calI}")
+    two_thirds_i = (2.0 / 3.0) * calI
     # Normalized impact-adjusted equity, constant along the exit.
-    adj_equity = 1.0 / lambda0 - (2.0 / 3.0) * calI
+    adj_equity = 1.0 / lambda0 - two_thirds_i
+    sqrt = math.sqrt
 
     def points():
-        for x in grid:
-            x = float(x)
+        for x in map(float, grid):
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"grid values must lie in [0, 1], got {x}")
-            u = math.sqrt(x)
+            u = sqrt(x)
+            held = 1.0 - x
             marginal = 1.0 - calI * u
-            cash = x * (1.0 - (2.0 / 3.0) * calI * u)
-            remaining = (1.0 - x) - (2.0 / 3.0) * calI * (1.0 - x * u)
-            lam_adj = remaining / adj_equity if adj_equity > 0.0 else DIVERGED
-            yield TrajectoryPoint(
-                x=x,
-                q_held=1.0 - x,
-                marginal_price=marginal,
-                cash=cash,
-                lambda_noimpact=lambda0 * (1.0 - x),
-                lambda_mtm=deleverage_lambda(lambda0, calI, x),
-                lambda_adj=lam_adj,
+            noimpact = lambda0 * held
+            denom = 1.0 - product * u * (1.0 - x / 3.0)
+            remaining = held - two_thirds_i * (1.0 - x * u)
+            yield (
+                x,
+                held,
+                marginal,
+                x * (1.0 - two_thirds_i * u),
+                noimpact,
+                DIVERGED if denom <= 0.0 else noimpact * marginal / denom,
+                remaining / adj_equity if adj_equity > 0.0 else DIVERGED,
             )
 
     return points()
@@ -334,15 +343,19 @@ def entry_exit_trajectories(
     (resp. liquidated) on each leg.
     """
     entry, exit_leg = _round_trip_points(pos, params, grid_size)
-    return list(entry), list(exit_leg)
+    return list(map(TrajectoryPoint._make, entry)), list(map(TrajectoryPoint._make, exit_leg))
 
 
 def _round_trip_points(
     pos: Position, params: ImpactParams, grid_size: int
-) -> tuple[Iterator[TrajectoryPoint], Iterator[TrajectoryPoint]]:
-    """The two legs of ``entry_exit_trajectories``, each built one point at a time.
+) -> tuple[Iterator[tuple[float, ...]], Iterator[tuple[float, ...]]]:
+    """The two legs of ``entry_exit_trajectories`` as float tuples, built one point at a time.
 
-    Every input is checked now, before the first point.
+    Every input is checked now, before the first point.  Each value takes
+    the same float operations, in the same order, as expected_impact,
+    cash_raised and remaining_liquidation_value, with the loop invariants
+    computed once, so it equals their results bit for bit; each point runs
+    their checks.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -353,29 +366,9 @@ def _round_trip_points(
         raise ValueError(f"initial equity must be positive, got {e0}")
     q_total, p0 = pos.Q, pos.p0
     try:  # the exit leg's liquidation value takes Q**1.5
-        q_total**1.5
+        q_total_15 = q_total**1.5
     except OverflowError:
         raise ValueError(f"Q**1.5 must be finite, got Q = {q_total}") from None
-
-    def entry():
-        for x in _spaced(0.0, 1.0, grid_size):
-            q = x * q_total
-            impact_q = expected_impact(params, q)
-            marginal = p0 * (1.0 + impact_q)
-            spent = p0 * q * (1.0 + (2.0 / 3.0) * impact_q)
-            borrowing = spent - e0
-            mtm_assets = q * marginal
-            adj_assets = q * p0 * (1.0 - (2.0 / 3.0) * impact_q)
-            yield TrajectoryPoint(
-                x=x,
-                q_held=q,
-                marginal_price=marginal,
-                cash=spent,
-                lambda_noimpact=q * p0 / e0,
-                lambda_mtm=_ratio_or_diverged(mtm_assets, mtm_assets - borrowing),
-                lambda_adj=_ratio_or_diverged(adj_assets, adj_assets - borrowing),
-            )
-
     cal_i = expected_impact(params, q_total)
     # Each amount on either leg adds at most four terms, none larger than
     # these; where such a sum could overflow (and turn into nan), refuse.
@@ -387,25 +380,60 @@ def _round_trip_points(
             f"round-trip amounts overflow a float at Q = {q_total}, p0 = {p0}, "
             f"I(Q) = {cal_i}, equity {e0}"
         )
-    liab = p0 * q_total * (1.0 + (2.0 / 3.0) * cal_i) - e0
+    two_thirds_i = (2.0 / 3.0) * cal_i
+    liab = p0 * q_total * (1.0 + two_thirds_i) - e0
     lambda0_ni = q_total * p0 / e0
+    y_sigma, volume = params.Y * params.sigma, params.V
+    two_thirds_slope = (2.0 / 3.0) * (y_sigma / math.sqrt(volume))
+    sqrt, inf = math.sqrt, math.inf
+
+    def entry():
+        for x in _spaced(0.0, 1.0, grid_size):
+            q = x * q_total
+            if q < 0:
+                raise ValueError(f"trade size must be non-negative, got {q}")
+            impact_q = y_sigma * sqrt(q / volume)
+            if not impact_q < inf:
+                raise ValueError(f"impact I(Q) must be finite, got Q = {q}, V = {volume}")
+            marginal = p0 * (1.0 + impact_q)
+            notional = q * p0
+            two_thirds_iq = (2.0 / 3.0) * impact_q
+            spent = notional * (1.0 + two_thirds_iq)
+            borrowing = spent - e0
+            mtm = q * marginal
+            adj = notional * (1.0 - two_thirds_iq)
+            yield (
+                x,
+                q,
+                marginal,
+                spent,
+                notional / e0,
+                _ratio_or_diverged(mtm, mtm - borrowing),
+                _ratio_or_diverged(adj, adj - borrowing),
+            )
 
     def exit_leg():
         for x in _spaced(0.0, 1.0, grid_size):
             q_sold = x * q_total
-            u = math.sqrt(x)
+            if not 0.0 <= q_sold <= q_total:
+                raise ValueError(f"q_sold must lie in [0, {q_total}], got {q_sold}")
+            u = sqrt(x)
             marginal = p0 * (1.0 - cal_i * u)
-            cash = cash_raised(pos, params, q_sold)
-            mtm_assets = (q_total - q_sold) * marginal
-            adj_assets = remaining_liquidation_value(pos, params, q_sold)
-            yield TrajectoryPoint(
-                x=x,
-                q_held=q_total - q_sold,
-                marginal_price=marginal,
-                cash=cash,
-                lambda_noimpact=lambda0_ni * (1.0 - x),
-                lambda_mtm=_ratio_or_diverged(mtm_assets, mtm_assets - liab + cash),
-                lambda_adj=_ratio_or_diverged(adj_assets, adj_assets - liab + cash),
+            if q_sold == 0.0:
+                cash = 0.0
+            else:
+                cash = p0 * q_sold * (1.0 - two_thirds_i * sqrt(q_sold / q_total))
+            held = q_total - q_sold
+            mtm = held * marginal
+            adj = p0 * (held - two_thirds_slope * (q_total_15 - q_sold**1.5))
+            yield (
+                x,
+                held,
+                marginal,
+                cash,
+                lambda0_ni * (1.0 - x),
+                _ratio_or_diverged(mtm, mtm - liab + cash),
+                _ratio_or_diverged(adj, adj - liab + cash),
             )
 
     return entry(), exit_leg()
@@ -423,14 +451,30 @@ def write_csv(rows: Iterable[Sequence[str]], dest: str | Path | TextIO) -> None:
     """Write rows as CSV to a path (UTF-8) or an open text stream."""
     import csv
 
+    with _writing(dest) as handle:
+        csv.writer(handle).writerows(rows)
+
+
+# Rows per write: about 120 kB of text, so memory stays flat at any grid.
+_BLOCK_ROWS = 1024
+
+
+def write_trajectory_csv(points: Iterable[Sequence[float]], dest: str | Path | TextIO) -> None:
+    """Write trajectory points as CSV; divergence serializes as the string 'inf'.
+
+    Each value is written as repr(float(value)), with csv's "\\r\\n" line
+    ends; rows are joined and written _BLOCK_ROWS at a time.
+    """
+    rows = iter(points)
+    with _writing(dest) as handle:
+        handle.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        while block := [",".join(map(repr, map(float, row)))
+                        for row in itertools.islice(rows, _BLOCK_ROWS)]:
+            handle.write("\r\n".join(block) + "\r\n")
+
+
+def _writing(dest: str | Path | TextIO):
+    """A context holding ``dest`` open for text: a path opened as UTF-8, or the stream itself."""
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(rows)
-    else:
-        csv.writer(dest).writerows(rows)
-
-
-def write_trajectory_csv(points: Iterable[TrajectoryPoint], dest: str | Path | TextIO) -> None:
-    """Write trajectory points as CSV; divergence serializes as the string 'inf'."""
-    rows = ([repr(float(value)) for value in pt] for pt in points)
-    write_csv(itertools.chain([TRAJECTORY_COLUMNS], rows), dest)
+        return open(dest, "w", newline="", encoding="utf-8")
+    return contextlib.nullcontext(dest)

@@ -76,7 +76,7 @@ def liquidation_value_discrete(pos: Position, params: ImpactParams, n_increments
     cal_i = expected_impact(params, pos.Q)
     # I(t*Q/N) = I(Q) * sqrt(t) / sqrt(N); factor the sum accordingly.
     mean_impact = cal_i * math.fsum(map(math.sqrt, range(1, n + 1))) / (n * math.sqrt(n))
-    return pos.p0 * pos.Q * (1.0 - mean_impact)
+    return _finite("liquidation value", pos, cal_i, pos.p0 * pos.Q * (1.0 - mean_impact))
 
 
 def liquidation_value(pos: Position, params: ImpactParams) -> float:
@@ -87,14 +87,22 @@ def liquidation_value(pos: Position, params: ImpactParams) -> float:
     :func:`impactval.impact.check_validity` to flag such inputs.
     """
     cal_i = expected_impact(params, pos.Q)
-    return pos.p0 * pos.Q * (1.0 - (2.0 / 3.0) * cal_i)
+    return _finite("liquidation value", pos, cal_i, pos.p0 * pos.Q * (1.0 - (2.0 / 3.0) * cal_i))
 
 
 def average_valuation_price(pos: Position, params: ImpactParams) -> float:
     """Average price realized over a full liquidation: p0 * (1 - (2/3) * I(Q))."""
     if pos.Q == 0:
         raise ValueError("average valuation price is undefined for an empty position")
-    return pos.p0 * (1.0 - (2.0 / 3.0) * expected_impact(params, pos.Q))
+    cal_i = expected_impact(params, pos.Q)
+    return _finite("average valuation price", pos, cal_i, pos.p0 * (1.0 - (2.0 / 3.0) * cal_i))
+
+
+def _finite(what: str, pos: Position, cal_i: float, value: float) -> float:
+    """``value``, or ValueError where it overflowed from the finite p0, Q and I(Q)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got p0 = {pos.p0}, Q = {pos.Q}, I(Q) = {cal_i}")
+    return value
 
 
 def remaining_liquidation_value(pos: Position, params: ImpactParams, sold: float) -> float:

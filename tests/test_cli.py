@@ -281,6 +281,25 @@ def test_an_impact_that_overflows_exit_1(capsys, argv):
     assert err == f"error: {TINY_V_MESSAGE}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--Q", "1e300", "--p0", "1e7", "--sigma", "1e10", "--V", "1"],
+         "liquidation value must be finite, got p0 = 10000000.0, Q = 1e+300, I(Q) = 1e+160"),
+        (["--Q", "1e-300", "--p0", "1e300", "--sigma", "1e300", "--V", "1e-300"],
+         "average valuation price must be finite, got p0 = 1e+300, Q = 1e-300, I(Q) = 1e+300"),
+    ],
+    ids=["liquidation-value", "average-price"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_value_that_overflows_exit_1(capsys, flags, message, fmt):
+    # The impact is finite, but p0 * Q * (1 - (2/3) * I(Q)) or
+    # p0 * (1 - (2/3) * I(Q)) overflows.
+    code, out, err = run(capsys, "value", *flags, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_report_puts_an_overflowing_impact_in_its_row(tmp_path, capsys):
     assets = tmp_path / "assets.ini"
     assets.write_text("[tiny-V]\nsigma = 2%\nV = 1e-320\nQ = 1e6\n", encoding="utf-8")
@@ -780,8 +799,12 @@ def test_report_row_level_error_marker(tmp_path, capsys):
         ("sigma = 2%\nV = 1e6\nQ = 1e6\n", None),
         ("sigma = nan\nV = 1e6\nQ = 1e6\n", "sigma: expected a finite number, got 'nan'"),
         ("S = 1e-4\nv = 0\nb = 0.7\nQ = 1e6\n", "v must be positive, got 0.0"),
+        # Q / v overflows, so the spread-based impact would be inf (and lambda_c 0).
+        ("S = 1\nv = 1e-320\nb = 0.7\nQ = 1e6\n",
+         "impact I must be finite, got Y = 1.0, b = 0.7, S = 1.0, N = inf"),
     ],
-    ids=["zero-volume", "negative-volume", "percent-sigma", "nan-sigma", "zero-quote-volume"],
+    ids=["zero-volume", "negative-volume", "percent-sigma", "nan-sigma", "zero-quote-volume",
+         "spread-impact-overflow"],
 )
 def test_report_bad_asset_errors_in_its_row(tmp_path, capsys, body, error):
     path = tmp_path / "assets.ini"

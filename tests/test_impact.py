@@ -1,6 +1,7 @@
 """Tests for the volume-based and spread-based impact formulas."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -98,6 +99,21 @@ def test_impact_from_spread_direct_evaluation():
 ])
 def test_impact_from_spread_rejects_bad_inputs(kwargs):
     with pytest.raises(ValueError):
+        impact_from_spread(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"Y": 1.0, "b": 0.7, "S": 1.0, "N": math.inf},
+        {"Y": 1e300, "b": 0.7, "S": 1e10, "N": 4.0},
+        {"Y": 1.0, "b": 0.7, "S": 0.01, "N": math.nan},
+    ],
+    ids=["infinite-N", "product-overflows", "nan-N"],
+)
+def test_impact_from_spread_refuses_a_non_finite_result(kwargs):
+    message = "impact I must be finite, got Y = {Y}, b = {b}, S = {S}, N = {N}".format(**kwargs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         impact_from_spread(**kwargs)
 
 

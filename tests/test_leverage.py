@@ -1,20 +1,25 @@
 """Tests for leverage trajectories and the critical-leverage analysis."""
 
+import contextlib
 import csv
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from impactval.impact import ImpactParams
+from impactval.cli import main
+from impactval.impact import ImpactParams, expected_impact
 from impactval.leverage import (
     CRITICAL_PRODUCT,
     DIVERGED,
     TRAJECTORY_COLUMNS,
     Regime,
+    TrajectoryPoint,
     bankruptcy_point,
     cash_raised,
     classify,
@@ -26,11 +31,12 @@ from impactval.leverage import (
     deleverage_trajectory,
     entry_exit_trajectories,
     impact_adjusted_leverage_exit,
+    linspace,
     mtm_leverage,
     small_x_expansion,
     write_trajectory_csv,
 )
-from impactval.valuation import Position, liquidation_value
+from impactval.valuation import Position, liquidation_value, remaining_liquidation_value
 
 
 def params_with_impact(Q: float, calI: float) -> ImpactParams:
@@ -689,3 +695,152 @@ def test_trajectory_csv_file_round_trip(tmp_path):
     rows = list(csv.reader(path.open()))
     assert len(rows) == 4
     assert float(rows[1][4]) == pytest.approx(9.0)
+
+
+def test_grid_values_outside_the_unit_interval_are_refused():
+    for bad in (1.5, -0.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^grid values must lie in \[0, 1\], got {bad}$"):
+            deleverage_trajectory(9.0, 0.1, [0.0, bad])
+
+
+# The reference export: points built from the per-point formulas and
+# functions, each cell written as repr(float(value)) through csv.writer.
+# The export must write exactly these bytes.
+def reference_exit_points(lambda0, calI, grid):
+    adj_equity = 1.0 / lambda0 - (2.0 / 3.0) * calI
+    for x in grid:
+        u = math.sqrt(x)
+        remaining = (1.0 - x) - (2.0 / 3.0) * calI * (1.0 - x * u)
+        yield TrajectoryPoint(
+            x=x,
+            q_held=1.0 - x,
+            marginal_price=1.0 - calI * u,
+            cash=x * (1.0 - (2.0 / 3.0) * calI * u),
+            lambda_noimpact=lambda0 * (1.0 - x),
+            lambda_mtm=deleverage_lambda(lambda0, calI, x),
+            lambda_adj=remaining / adj_equity if adj_equity > 0.0 else DIVERGED,
+        )
+
+
+def reference_round_trip_points(pos, params, grid_size):
+    def ratio(assets, equity):
+        if assets == 0.0 and equity > 0.0:
+            return 0.0
+        return DIVERGED if equity <= 0.0 else assets / equity
+
+    q_total, p0, e0 = pos.Q, pos.p0, pos.equity
+    cal_i = expected_impact(params, q_total)
+    liab = p0 * q_total * (1.0 + (2.0 / 3.0) * cal_i) - e0
+    entry, exit_leg = [], []
+    for x in linspace(0.0, 1.0, grid_size):
+        q = x * q_total
+        impact_q = expected_impact(params, q)
+        marginal = p0 * (1.0 + impact_q)
+        spent = p0 * q * (1.0 + (2.0 / 3.0) * impact_q)
+        mtm = q * marginal
+        adj = q * p0 * (1.0 - (2.0 / 3.0) * impact_q)
+        entry.append(TrajectoryPoint(x, q, marginal, spent, q * p0 / e0,
+                                     ratio(mtm, mtm - (spent - e0)),
+                                     ratio(adj, adj - (spent - e0))))
+        marginal = p0 * (1.0 - cal_i * math.sqrt(x))
+        cash = cash_raised(pos, params, q)
+        mtm = (q_total - q) * marginal
+        adj = remaining_liquidation_value(pos, params, q)
+        exit_leg.append(TrajectoryPoint(x, q_total - q, marginal, cash,
+                                        q_total * p0 / e0 * (1.0 - x),
+                                        ratio(mtm, mtm - liab + cash),
+                                        ratio(adj, adj - liab + cash)))
+    return entry + exit_leg
+
+
+def reference_csv(points):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([TRAJECTORY_COLUMNS,
+                                  *([repr(float(value)) for value in pt] for pt in points)])
+    return buffer.getvalue()
+
+
+def finite_floats(low, high):
+    return st.floats(low, high, allow_subnormal=False)
+
+
+def exit_export(lambda0, cal_i, grid):
+    """(trajectory flags, reference CSV text) of an exit export."""
+    flags = ["--lambda0", repr(lambda0), "--impact", repr(cal_i), "--grid", str(grid)]
+    return flags, reference_csv(reference_exit_points(lambda0, cal_i, linspace(0.0, 1.0, grid)))
+
+
+def round_trip_export(Q, p0, E0, Y, sigma, V, grid):
+    """(trajectory flags, reference CSV text) of a round-trip export."""
+    flags = ["--mode", "roundtrip", "--Q", repr(Q), "--p0", repr(p0), "--E0", repr(E0),
+             "--Y", repr(Y), "--sigma", repr(sigma), "--V", repr(V), "--grid", str(grid)]
+    params = ImpactParams(Y=Y, sigma=sigma, V=V)
+    return flags, reference_csv(reference_round_trip_points(Position(Q=Q, p0=p0, E0=E0),
+                                                            params, grid))
+
+
+@st.composite
+def trajectory_exports(draw):
+    """An exit or round-trip export of 2 to 40 points from moderate finite inputs."""
+    grid = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        return exit_export(draw(finite_floats(1.0, 50.0)), draw(finite_floats(0.0, 2.0)), grid)
+    Q, p0 = draw(finite_floats(1e-3, 1e9)), draw(finite_floats(1e-3, 1e4))
+    E0 = Q * p0 / draw(finite_floats(1.0, 40.0))
+    Y, sigma = draw(finite_floats(0.1, 3.0)), draw(finite_floats(0.0, 1.0))
+    return round_trip_export(Q, p0, E0, Y, sigma, Q * draw(finite_floats(0.01, 100.0)), grid)
+
+
+# The explicit examples pass a write block of 1024 rows in both modes; a
+# failure there is reported as it is, without a long shrink.
+@settings(max_examples=80, deadline=None)
+@given(trajectory_exports())
+@example(exit_export(9.0, 0.3, 1025))
+@example(round_trip_export(1e6, 10.0, 1e7 / 9.0, 1.0, 0.19, 1e6, 1025))
+def test_trajectory_export_writes_the_reference_bytes(export):
+    flags, expected = export
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(stdout):
+        out = Path(work) / "out.csv"
+        assert main(["trajectory", *flags, "--out", str(out)]) == 0
+        assert main(["trajectory", *flags]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+    assert stdout.getvalue() == expected
+
+
+number = st.one_of(st.integers(-(2**53), 2**53), st.floats())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(*[number] * 7), max_size=8), st.sampled_from([1, 150, 300]))
+def test_trajectory_csv_writes_any_numbers_as_the_reference(rows, repeat):
+    # int, nan, -0.0 and infinite fields; up to 2400 rows, past two write blocks.
+    points = [TrajectoryPoint(*row) for row in rows] * repeat
+    buffer = io.StringIO()
+    write_trajectory_csv(points, buffer)
+    assert buffer.getvalue() == reference_csv(points)
+
+
+SUPERCRITICAL_ROUND_TRIP = (Position(Q=1e6, p0=10.0, E0=1e7 / 9.0),
+                            ImpactParams(Y=1.0, sigma=0.19, V=1e6))
+
+
+@pytest.mark.parametrize(
+    "flags, build",
+    [
+        # x_c = 0.15: lambda_mtm diverges past it, and lambda_adj everywhere.
+        (["--lambda0", "9", "--impact", "0.3"],
+         lambda: deleverage_trajectory(9.0, 0.3, linspace(0.0, 1.0, 21))),
+        (["--mode", "roundtrip", "--Q", "1e6", "--p0", "10", "--E0", repr(1e7 / 9.0),
+          "--sigma", "0.19", "--V", "1e6"],
+         lambda: sum(entry_exit_trajectories(*SUPERCRITICAL_ROUND_TRIP, grid_size=21), [])),
+    ],
+    ids=["exit", "roundtrip"],
+)
+def test_library_points_are_the_rows_the_cli_writes(capsys, flags, build):
+    assert main(["trajectory", *flags, "--grid", "21"]) == 0
+    _, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    points = build()
+    assert {type(pt) for pt in points} == {TrajectoryPoint}
+    assert [tuple(pt) for pt in points] == [tuple(map(float, row)) for row in rows]
+    assert DIVERGED in {value for pt in points for value in pt}

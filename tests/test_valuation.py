@@ -1,6 +1,7 @@
 """Tests for discrete and continuous liquidation values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,28 @@ def test_remaining_value_additivity_with_cash_raised():
     for sold in rng.uniform(0.0, pos.Q, size=40):
         lhs = full - remaining_liquidation_value(pos, params, sold)
         assert lhs == pytest.approx(cash_raised(pos, params, sold), rel=1e-10, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "value, pos, params, what",
+    [
+        (liquidation_value, Position(Q=1e300, p0=1e7), ImpactParams(Y=1.0, sigma=1e10, V=1.0),
+         "liquidation value"),
+        (lambda pos, params: liquidation_value_discrete(pos, params, 3),
+         Position(Q=1e300, p0=1e7), ImpactParams(Y=1.0, sigma=1e10, V=1.0), "liquidation value"),
+        # Q * p0 and p0 * Q * (1 - (2/3) * I(Q)) are finite; p0 * (1 - (2/3) * I(Q)) is not.
+        (average_valuation_price, Position(Q=1e-300, p0=1e300),
+         ImpactParams(Y=1.0, sigma=1e300, V=1e-300), "average valuation price"),
+    ],
+    ids=["continuous", "discrete", "average-price"],
+)
+def test_values_that_overflow_are_refused(value, pos, params, what):
+    # Finite inputs and a finite impact, but the value overflows to -inf.
+    cal_i = expected_impact(params, pos.Q)
+    assert math.isfinite(cal_i)
+    message = f"{what} must be finite, got p0 = {pos.p0}, Q = {pos.Q}, I(Q) = {cal_i}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        value(pos, params)
 
 
 def test_value_subadditive_in_size():
